@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build check vet fmt test race bench bench-obs bench-router bench-dp bench-estimate bench-eco benchdiff serve test-serve test-store test-dp test-estimate test-eco test-fleet fuzz-smoke
+.PHONY: all build check vet fmt test race bench bench-obs bench-router bench-dp bench-estimate bench-eco benchdiff serve test-serve test-store test-dp test-estimate test-eco test-fleet test-perfbench fuzz-smoke
 
 all: check
 
@@ -74,6 +74,12 @@ bench-router:
 # after reassignment (see DESIGN.md §13).
 test-fleet:
 	$(GO) test -race -v ./internal/fleet/
+
+# The end-to-end benchmark's self-tests (about 70 s). perfbench is a
+# nested module (repro/perfbench, replace → ../), so `go test ./...` at the
+# root never reaches it.
+test-perfbench:
+	cd perfbench && GOFLAGS=-mod=mod $(GO) test .
 
 # Detailed-placement suite alone, race-checked: incremental-engine
 # differentials, cross-worker .pl determinism, and placement invariants

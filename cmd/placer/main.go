@@ -217,8 +217,8 @@ func run() error {
 	fmt.Printf("placement: HPWL gp=%.4g legal=%.4g final=%.4g\n", res.HPWLGlobal, res.HPWLLegal, res.HPWLFinal)
 	fmt.Printf("quality:   overlaps=%d fence-violations=%d out-of-die=%d legal-fallbacks=%d\n",
 		res.Overlaps, res.FenceViolations, res.OutOfDie, res.Legal.Fallbacks)
-	fmt.Printf("effort:    levels=%d lambda-rounds=%d cg-iters=%d gp=%.2fs legal=%.2fs dp=%.2fs total=%.2fs\n",
-		res.Levels, res.LambdaRounds, res.CGIters,
+	fmt.Printf("effort:    levels=%d lambda-rounds=%d cg-iters=%d value-evals=%d gp=%.2fs legal=%.2fs dp=%.2fs total=%.2fs\n",
+		res.Levels, res.LambdaRounds, res.CGIters, res.ValueEvals,
 		res.GPTime.Seconds(), res.LegalTime.Seconds(), res.DPTime.Seconds(), total.Seconds())
 	if *rowFlip {
 		fmt.Printf("row-flip:  %d cells flipped to FS\n", legal.AlternateRowOrientations(d))

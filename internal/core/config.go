@@ -261,11 +261,15 @@ type Result struct {
 	// Overflow is the density overflow ratio at the end of GP.
 	Overflow float64
 
-	// Levels is the multilevel depth used; LambdaRounds and CGIters are
-	// summed over levels.
+	// Levels is the multilevel depth used; LambdaRounds, CGIters and
+	// ValueEvals are summed over levels and routability respreads.
+	// ValueEvals counts objective value evaluations (CG line-search
+	// trials plus one per CG run), so ValueEvals/CGIters is the line
+	// search's cost per iteration.
 	Levels       int
 	LambdaRounds int
 	CGIters      int
+	ValueEvals   int
 
 	// Cong has one entry per routability iteration.
 	Cong []CongStat

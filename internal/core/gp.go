@@ -17,7 +17,10 @@ import (
 type gpStats struct {
 	LambdaRounds int
 	CGIters      int
-	Overflow     float64
+	// ValueEvals counts objective value evaluations (line-search trials
+	// plus one per CG run); ValueEvals/CGIters is the line search's cost.
+	ValueEvals int
+	Overflow   float64
 	// FinalLambda and FinalMu are the density and fence weights at
 	// termination; the routability loop resumes respreading from (a
 	// fraction of) them instead of re-annealing from scratch, which would
@@ -38,9 +41,14 @@ type levelSolver struct {
 	// cells make exact-overlap density inherently lumpy, so convergence
 	// is judged at a few-cells-per-bin scale like the contest evaluators.
 	ovGrid *density.Grid
-	model  wl.Model
 	nl     *wl.Netlist
+	wlEval *wl.Evaluator
 	objs   []density.Obj
+	// at is the point of the last Value call; Gradient evaluates there
+	// (the nlopt.Objective contract), reusing the wirelength cache and
+	// the density map that call left. λ, μ and the object areas never
+	// change inside one CG run, so those caches stay valid.
+	at []float64
 
 	lambda, mu float64
 	// startLambda and startMu, when positive, seed the λ/μ escalation
@@ -112,24 +120,25 @@ func newLevelSolver(cfg Config, p *cluster.Problem, die geom.Rect, fixed []geom.
 		ovGrid.EnsureCapacity(p.TotalArea(), 1.08)
 	}
 	gamma := cfg.GammaFactor * (grid.BinW + grid.BinH) / 2
-	var model wl.Model
+	model := wl.WA
 	if cfg.Model == "lse" {
-		model = wl.LSE{Gamma: gamma}
-	} else {
-		model = wl.WA{Gamma: gamma}
+		model = wl.LSE
 	}
 	// Large levels evaluate in parallel; results stay deterministic for a
 	// fixed worker count (partition and reduction order are fixed).
+	workers := 1
 	if n >= 2000 && cfg.Workers != 1 {
-		model = wl.NewParallel(model, cfg.Workers)
-		grid.SetWorkers(cfg.Workers)
+		workers = cfg.Workers
+		grid.SetWorkers(workers)
 	}
+	nl := &wl.Netlist{Nets: p.Nets, NumObjs: n}
 	s := &levelSolver{
 		cfg: cfg, p: p, die: die, regions: regions,
-		grid: grid, ovGrid: ovGrid, model: model,
-		nl:   &wl.Netlist{Nets: p.Nets, NumObjs: n},
-		objs: make([]density.Obj, n),
-		gdx:  make([]float64, n), gdy: make([]float64, n),
+		grid: grid, ovGrid: ovGrid,
+		nl:     nl,
+		wlEval: wl.NewEvaluator(nl, model, gamma, workers),
+		objs:   make([]density.Obj, n),
+		gdx:    make([]float64, n), gdy: make([]float64, n),
 		gfx: make([]float64, n), gfy: make([]float64, n),
 	}
 	for i := 0; i < n; i++ {
@@ -174,53 +183,48 @@ func (s *levelSolver) fencePenalty(x, y []float64, gx, gy []float64) float64 {
 	return total
 }
 
-// objective evaluates f = WL + λ·N + μ·F into the packed vector layout
-// ([x..., y...]) used by the CG solver.
-func (s *levelSolver) objective(v []float64, grad []float64) float64 {
+// Value evaluates f = WL + λ·N + μ·F at the packed vector layout
+// ([x..., y...]) used by the CG solver. It implements nlopt.Objective
+// together with Gradient.
+func (s *levelSolver) Value(v []float64) float64 {
+	s.at = v
 	n := s.p.NumObjs()
 	x, y := v[:n], v[n:]
-	var gx, gy []float64
-	if grad != nil {
-		gx, gy = grad[:n], grad[n:]
-	}
-	f := s.model.Eval(s.nl, x, y, gx, gy)
+	f := s.wlEval.Value(x, y)
 	if s.lambda > 0 {
-		for i := range s.gdx {
-			s.gdx[i] = 0
-			s.gdy[i] = 0
-		}
-		var dgx, dgy []float64
-		if grad != nil {
-			dgx, dgy = s.gdx, s.gdy
-		}
-		den := s.grid.Penalty(s.objs, x, y, dgx, dgy)
-		f += s.lambda * den
-		if grad != nil {
-			for i := range gx {
-				gx[i] += s.lambda * s.gdx[i]
-				gy[i] += s.lambda * s.gdy[i]
-			}
+		f += s.lambda * s.grid.Penalty(s.objs, x, y)
+	}
+	if s.mu > 0 {
+		f += s.mu * s.fencePenalty(x, y, nil, nil)
+	}
+	return f
+}
+
+// Gradient writes ∇f at the point of the last Value call into grad,
+// which arrives zeroed.
+func (s *levelSolver) Gradient(grad []float64) {
+	n := s.p.NumObjs()
+	x, y := s.at[:n], s.at[n:]
+	gx, gy := grad[:n], grad[n:]
+	s.wlEval.Gradient(gx, gy)
+	if s.lambda > 0 {
+		clear(s.gdx)
+		clear(s.gdy)
+		s.grid.PenaltyGradient(s.objs, x, y, s.gdx, s.gdy)
+		for i := range gx {
+			gx[i] += s.lambda * s.gdx[i]
+			gy[i] += s.lambda * s.gdy[i]
 		}
 	}
 	if s.mu > 0 {
-		for i := range s.gfx {
-			s.gfx[i] = 0
-			s.gfy[i] = 0
-		}
-		var fgx, fgy []float64
-		if grad != nil {
-			fgx, fgy = s.gfx, s.gfy
-		}
-		fen := s.fencePenalty(x, y, fgx, fgy)
-		f += s.mu * fen
-		if grad != nil {
-			for i := range gx {
-				gx[i] += s.mu * s.gfx[i]
-				gy[i] += s.mu * s.gfy[i]
-			}
+		clear(s.gfx)
+		clear(s.gfy)
+		s.fencePenalty(x, y, s.gfx, s.gfy)
+		for i := range gx {
+			gx[i] += s.mu * s.gfx[i]
+			gy[i] += s.mu * s.gfy[i]
 		}
 	}
-	return f
 }
 
 // gradL1 returns Σ|g| of a term's gradient evaluated in isolation.
@@ -239,14 +243,14 @@ func (s *levelSolver) initWeights(v []float64) {
 	x, y := v[:n], v[n:]
 	gwx := make([]float64, n)
 	gwy := make([]float64, n)
-	s.model.Eval(s.nl, x, y, gwx, gwy)
+	s.wlEval.Value(x, y)
+	s.wlEval.Gradient(gwx, gwy)
 	wlG := gradL1(gwx, gwy) + 1e-12
 
-	for i := range s.gdx {
-		s.gdx[i] = 0
-		s.gdy[i] = 0
-	}
-	s.grid.Penalty(s.objs, x, y, s.gdx, s.gdy)
+	clear(s.gdx)
+	clear(s.gdy)
+	s.grid.Penalty(s.objs, x, y)
+	s.grid.PenaltyGradient(s.objs, x, y, s.gdx, s.gdy)
 	denG := gradL1(s.gdx, s.gdy)
 	if denG > 0 {
 		s.lambda = 0.03 * wlG / denG
@@ -254,10 +258,8 @@ func (s *levelSolver) initWeights(v []float64) {
 		s.lambda = 0
 	}
 
-	for i := range s.gfx {
-		s.gfx[i] = 0
-		s.gfy[i] = 0
-	}
+	clear(s.gfx)
+	clear(s.gfy)
 	fen := s.fencePenalty(x, y, s.gfx, s.gfy)
 	fenG := gradL1(s.gfx, s.gfy)
 	if fen > 0 && fenG > 0 {
@@ -366,7 +368,7 @@ func (s *levelSolver) solve(ctx context.Context, trace *Trace) gpStats {
 			// real relief work as convergence.
 			relTol = 0
 		}
-		res := nlopt.CG(s.objective, v, nlopt.Options{
+		res := nlopt.CG(s, v, nlopt.Options{
 			MaxIter:  s.cfg.GPIterPerRound,
 			GradTol:  1e-9,
 			RelTol:   relTol,
@@ -376,6 +378,7 @@ func (s *levelSolver) solve(ctx context.Context, trace *Trace) gpStats {
 			Stop:     stop,
 		})
 		stats.CGIters += res.Iters
+		stats.ValueEvals += res.ValueEvals
 		iterBase += res.Iters
 		stats.Overflow = s.ovGrid.Overflow(s.objs, v[:n], v[n:])
 		fenced := s.maxFenceDist(v[:n], v[n:])
@@ -389,6 +392,7 @@ func (s *levelSolver) solve(ctx context.Context, trace *Trace) gpStats {
 		prevFine = fineOv
 		if rsp != nil {
 			rsp.Add("cg_iters", int64(res.Iters))
+			rsp.Add("value_evals", int64(res.ValueEvals))
 			rsp.End()
 		}
 		if s.rec.Enabled() {

@@ -70,3 +70,62 @@ type resultSnapshot struct {
 	orient  []int
 	metrics route.Metrics
 }
+
+// TestValueEvalsReported checks the line-search cost counters: every GP
+// round and level span carries value_evals next to cg_iters, each CG run
+// values its start point plus at least one trial per iteration that
+// reached the line search (all but possibly the last), and
+// Result.ValueEvals sums the main GP levels and the routability
+// respreads.
+func TestValueEvalsReported(t *testing.T) {
+	d := gen.MustGenerate(smallCfg())
+	rec := obs.New(obs.Config{})
+	res, err := MustNew(Config{Obs: rec}).Place(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum int64
+	checkRound := func(r *obs.SpanRecord) {
+		iters, evals := r.Counters["cg_iters"], r.Counters["value_evals"]
+		if evals < 1 || evals < iters {
+			t.Errorf("%s: %d value evaluations for %d CG iterations", r.Name, evals, iters)
+		}
+		sum += evals
+	}
+	levels := 0
+	for _, s := range rec.BuildReport().Spans {
+		switch s.Name {
+		case "gp":
+			for _, lv := range s.Children {
+				levels++
+				var rounds int64
+				for _, r := range lv.Children {
+					checkRound(r)
+					rounds += r.Counters["value_evals"]
+				}
+				if lv.Counters["value_evals"] != rounds {
+					t.Errorf("%s: value_evals %d, its rounds sum to %d", lv.Name, lv.Counters["value_evals"], rounds)
+				}
+			}
+		case "routability":
+			for _, it := range s.Children {
+				for _, c := range it.Children {
+					if c.Name == "respread" {
+						for _, r := range c.Children {
+							checkRound(r)
+						}
+					}
+				}
+			}
+		}
+	}
+	if levels != res.Levels {
+		t.Fatalf("report has %d GP level spans, result %d levels", levels, res.Levels)
+	}
+	if int64(res.ValueEvals) != sum {
+		t.Errorf("Result.ValueEvals = %d, spans sum to %d", res.ValueEvals, sum)
+	}
+	if res.ValueEvals <= res.CGIters {
+		t.Errorf("ValueEvals %d ≤ CGIters %d", res.ValueEvals, res.CGIters)
+	}
+}

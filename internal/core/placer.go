@@ -132,10 +132,12 @@ func (pl *Placer) PlaceContext(ctx context.Context, d *db.Design) (Result, error
 		if s.span != nil {
 			s.span.Add("lambda_rounds", int64(st.LambdaRounds))
 			s.span.Add("cg_iters", int64(st.CGIters))
+			s.span.Add("value_evals", int64(st.ValueEvals))
 			s.span.End()
 		}
 		res.LambdaRounds += st.LambdaRounds
 		res.CGIters += st.CGIters
+		res.ValueEvals += st.ValueEvals
 		res.Overflow = st.Overflow
 		lastLambda = st.FinalLambda
 		lastMu = st.FinalMu
@@ -154,7 +156,8 @@ func (pl *Placer) PlaceContext(ctx context.Context, d *db.Design) (Result, error
 	res.HPWLGlobal = d.HPWL()
 	rec.Log().Debug("global placement done",
 		"levels", res.Levels, "lambda_rounds", res.LambdaRounds,
-		"cg_iters", res.CGIters, "overflow", res.Overflow, "hpwl", res.HPWLGlobal)
+		"cg_iters", res.CGIters, "value_evals", res.ValueEvals,
+		"overflow", res.Overflow, "hpwl", res.HPWLGlobal)
 
 	// ---- Routability loop -------------------------------------------
 	var routedGrid *route.Grid
@@ -428,6 +431,7 @@ func (pl *Placer) routabilityLoop(ctx context.Context, d *db.Design, prob *clust
 		s.span.End()
 		res.LambdaRounds += st.LambdaRounds
 		res.CGIters += st.CGIters
+		res.ValueEvals += st.ValueEvals
 		res.Overflow = st.Overflow
 		writeBack(d, prob, pm)
 		iterSp.End()

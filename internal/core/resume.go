@@ -129,10 +129,12 @@ func (pl *Placer) PlaceFromCheckpoint(ctx context.Context, d *db.Design, st *sna
 		if s.span != nil {
 			s.span.Add("lambda_rounds", int64(gst.LambdaRounds))
 			s.span.Add("cg_iters", int64(gst.CGIters))
+			s.span.Add("value_evals", int64(gst.ValueEvals))
 			s.span.End()
 		}
 		res.LambdaRounds = st.Round + gst.LambdaRounds
 		res.CGIters = gst.CGIters
+		res.ValueEvals = gst.ValueEvals
 		res.Overflow = gst.Overflow
 		lastLambda = gst.FinalLambda
 		lastMu = gst.FinalMu

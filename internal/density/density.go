@@ -45,12 +45,12 @@ type Grid struct {
 	// capArea[b] = Target · (binArea − base[b]), the allowed movable area.
 	capArea []float64
 
-	// scratch reused across Penalty calls.
-	demand   []float64
-	px, py   []float64 // per-object bell values along each axis
-	dpx, dpy []float64 // per-object bell derivatives (gradient pass)
+	// demand is the smoothed movable demand per bin the last Penalty
+	// call deposited; PenaltyGradient reads it.
+	demand []float64
 
-	// workers > 1 enables the parallel Penalty path (see SetWorkers).
+	// workers > 1 enables the parallel kernels (see SetWorkers); scratch
+	// holds one bellScratch per worker, at least one.
 	workers int
 	scratch []bellScratch
 }
@@ -69,9 +69,10 @@ func NewGrid(die geom.Rect, nx, ny int, target float64) *Grid {
 	g := &Grid{
 		Die: die, NX: nx, NY: ny,
 		BinW: die.W() / float64(nx), BinH: die.H() / float64(ny),
-		Target: target,
-		base:   make([]float64, nx*ny),
-		demand: make([]float64, nx*ny),
+		Target:  target,
+		base:    make([]float64, nx*ny),
+		demand:  make([]float64, nx*ny),
+		scratch: make([]bellScratch, 1),
 	}
 	g.recomputeCap()
 	return g
@@ -158,26 +159,39 @@ func bellRange(c, span, origin, step float64, n int) (int, int) {
 	return b0, b1
 }
 
-// bell evaluates the bell-shaped potential and its derivative for center
-// distance d ≥ 0, object half-width hw and bin width wb:
+// bellShape is one object's bell-shaped potential along one axis, for
+// object half-width hw and bin width wb, as a function of the center
+// distance d ≥ 0:
 //
 //	p(d) = 1 − a·d²                    for d ≤ hw + wb
 //	p(d) = b·(d − hw − 2wb)²           for hw + wb < d ≤ hw + 2wb
 //	p(d) = 0                           beyond
 //
-// with a, b chosen for C¹ continuity.
-func bell(d, hw, wb float64) (p, dp float64) {
+// with a, b chosen for C¹ continuity. The constants are computed once per
+// object and axis, not per bin.
+type bellShape struct {
+	inner, outer float64 // hw + wb, hw + 2wb
+	a, b         float64
+}
+
+func newBell(hw, wb float64) bellShape {
 	w := 2 * hw
-	inner := hw + wb
-	outer := hw + 2*wb
+	return bellShape{
+		inner: hw + wb,
+		outer: hw + 2*wb,
+		a:     4 / ((w + 2*wb) * (w + 4*wb)),
+		b:     2 / (wb * (w + 4*wb)),
+	}
+}
+
+// eval returns p(d) and its derivative p'(d).
+func (s bellShape) eval(d float64) (p, dp float64) {
 	switch {
-	case d <= inner:
-		a := 4 / ((w + 2*wb) * (w + 4*wb))
-		return 1 - a*d*d, -2 * a * d
-	case d <= outer:
-		b := 2 / (wb * (w + 4*wb))
-		t := d - outer
-		return b * t * t, 2 * b * t
+	case d <= s.inner:
+		return 1 - s.a*d*d, -2 * s.a * d
+	case d <= s.outer:
+		t := d - s.outer
+		return s.b * t * t, 2 * s.b * t
 	default:
 		return 0, 0
 	}
@@ -285,138 +299,6 @@ func (g *Grid) EnsureCapacity(required, margin float64) float64 {
 		g.capArea[i] *= scale
 	}
 	return scale
-}
-
-// Penalty evaluates the density penalty Σ_b (D_b − M_b)² over the objects
-// at centers (x[i], y[i]) and adds ∂N/∂x, ∂N/∂y into gx, gy when non-nil.
-func (g *Grid) Penalty(objs []Obj, x, y []float64, gx, gy []float64) float64 {
-	if g.workers > 1 && len(objs) >= 4*g.workers {
-		return g.penaltyParallel(objs, x, y, gx, gy)
-	}
-	nb := g.NX * g.NY
-	for i := 0; i < nb; i++ {
-		g.demand[i] = 0
-	}
-	// Deposit pass.
-	maxSpan := 0
-	for i := range objs {
-		hw := effHalf(objs[i].HalfW, g.BinW)
-		hh := effHalf(objs[i].HalfH, g.BinH)
-		x0, x1 := bellRange(x[i], hw+2*g.BinW, g.Die.Lo.X+g.BinW/2, g.BinW, g.NX)
-		y0, y1 := bellRange(y[i], hh+2*g.BinH, g.Die.Lo.Y+g.BinH/2, g.BinH, g.NY)
-		if n := x1 - x0 + 1; n > maxSpan {
-			maxSpan = n
-		}
-		if n := y1 - y0 + 1; n > maxSpan {
-			maxSpan = n
-		}
-		if cap(g.px) < maxSpan {
-			g.px = make([]float64, maxSpan*2)
-			g.py = make([]float64, maxSpan*2)
-			g.dpx = make([]float64, maxSpan*2)
-			g.dpy = make([]float64, maxSpan*2)
-		}
-		px := g.px[:x1-x0+1]
-		py := g.py[:y1-y0+1]
-		var sx, sy float64
-		for bx := x0; bx <= x1; bx++ {
-			cx := g.Die.Lo.X + (float64(bx)+0.5)*g.BinW
-			p, _ := bell(math.Abs(x[i]-cx), hw, g.BinW)
-			px[bx-x0] = p
-			sx += p
-		}
-		for by := y0; by <= y1; by++ {
-			cy := g.Die.Lo.Y + (float64(by)+0.5)*g.BinH
-			p, _ := bell(math.Abs(y[i]-cy), hh, g.BinH)
-			py[by-y0] = p
-			sy += p
-		}
-		if sx <= 0 || sy <= 0 {
-			continue
-		}
-		c := objs[i].Area / (sx * sy)
-		for by := y0; by <= y1; by++ {
-			row := by * g.NX
-			pyv := py[by-y0]
-			for bx := x0; bx <= x1; bx++ {
-				g.demand[row+bx] += c * px[bx-x0] * pyv
-			}
-		}
-	}
-	// Penalty value.
-	var total float64
-	for b := 0; b < nb; b++ {
-		e := g.demand[b] - g.capArea[b]
-		total += e * e
-	}
-	if gx == nil && gy == nil {
-		return total
-	}
-	// Gradient pass. With per-object normalization c = A/(sx·sy), the
-	// exact derivative of each deposit is
-	//
-	//	∂(c·px·py)/∂x = c · py · (px' − px · sx'/sx)
-	//
-	// where sx' = Σ_b px'(b); the sx'/sx term keeps area conservation
-	// differentiated rather than approximated away.
-	for i := range objs {
-		hw := effHalf(objs[i].HalfW, g.BinW)
-		hh := effHalf(objs[i].HalfH, g.BinH)
-		x0, x1 := bellRange(x[i], hw+2*g.BinW, g.Die.Lo.X+g.BinW/2, g.BinW, g.NX)
-		y0, y1 := bellRange(y[i], hh+2*g.BinH, g.Die.Lo.Y+g.BinH/2, g.BinH, g.NY)
-		px := g.px[:x1-x0+1]
-		dpx := g.dpx[:x1-x0+1]
-		py := g.py[:y1-y0+1]
-		dpy := g.dpy[:y1-y0+1]
-		var sx, sy, dsx, dsy float64
-		for bx := x0; bx <= x1; bx++ {
-			cx := g.Die.Lo.X + (float64(bx)+0.5)*g.BinW
-			d := x[i] - cx
-			p, dp := bell(math.Abs(d), hw, g.BinW)
-			if d < 0 {
-				dp = -dp
-			}
-			px[bx-x0] = p
-			dpx[bx-x0] = dp
-			sx += p
-			dsx += dp
-		}
-		for by := y0; by <= y1; by++ {
-			cy := g.Die.Lo.Y + (float64(by)+0.5)*g.BinH
-			d := y[i] - cy
-			p, dp := bell(math.Abs(d), hh, g.BinH)
-			if d < 0 {
-				dp = -dp
-			}
-			py[by-y0] = p
-			dpy[by-y0] = dp
-			sy += p
-			dsy += dp
-		}
-		if sx <= 0 || sy <= 0 {
-			continue
-		}
-		c := objs[i].Area / (sx * sy)
-		var gxi, gyi float64
-		for by := y0; by <= y1; by++ {
-			row := by * g.NX
-			pyv := py[by-y0]
-			dpyv := dpy[by-y0]
-			for bx := x0; bx <= x1; bx++ {
-				e := 2 * (g.demand[row+bx] - g.capArea[row+bx])
-				pxv := px[bx-x0]
-				gxi += e * c * pyv * (dpx[bx-x0] - pxv*dsx/sx)
-				gyi += e * c * pxv * (dpyv - pyv*dsy/sy)
-			}
-		}
-		if gx != nil {
-			gx[i] += gxi
-		}
-		if gy != nil {
-			gy[i] += gyi
-		}
-	}
-	return total
 }
 
 // Overflow returns the total-overflow ratio using exact rectangle overlap:

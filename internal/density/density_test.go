@@ -8,6 +8,14 @@ import (
 	"repro/internal/geom"
 )
 
+// penaltyWithGradient evaluates the penalty and adds its gradient at the
+// same positions.
+func penaltyWithGradient(g *Grid, objs []Obj, x, y, gx, gy []float64) float64 {
+	v := g.Penalty(objs, x, y)
+	g.PenaltyGradient(objs, x, y, gx, gy)
+	return v
+}
+
 func newTestGrid() *Grid {
 	return NewGrid(geom.NewRect(0, 0, 100, 100), 10, 10, 0.8)
 }
@@ -50,6 +58,7 @@ func TestAddFixedAccounting(t *testing.T) {
 
 func TestBellShape(t *testing.T) {
 	hw, wb := 3.0, 2.0
+	bell := func(d, hw, wb float64) (float64, float64) { return newBell(hw, wb).eval(d) }
 	// Center: full potential.
 	p0, dp0 := bell(0, hw, wb)
 	if p0 != 1 || dp0 != 0 {
@@ -96,7 +105,7 @@ func TestAreaConservation(t *testing.T) {
 		y[i] = 20 + rng.Float64()*60
 		want += objs[i].Area
 	}
-	g.Penalty(objs, x, y, nil, nil)
+	g.Penalty(objs, x, y)
 	if got := g.TotalDeposited(); math.Abs(got-want) > 1e-6*want {
 		t.Errorf("deposited %v, want %v", got, want)
 	}
@@ -117,14 +126,14 @@ func TestPenaltyGradientMatchesFiniteDifference(t *testing.T) {
 	}
 	gx := make([]float64, n)
 	gy := make([]float64, n)
-	g.Penalty(objs, x, y, gx, gy)
+	penaltyWithGradient(g, objs, x, y, gx, gy)
 	const h = 1e-5
 	for i := 0; i < n; i++ {
 		orig := x[i]
 		x[i] = orig + h
-		fp := g.Penalty(objs, x, y, nil, nil)
+		fp := g.Penalty(objs, x, y)
 		x[i] = orig - h
-		fm := g.Penalty(objs, x, y, nil, nil)
+		fm := g.Penalty(objs, x, y)
 		x[i] = orig
 		fd := (fp - fm) / (2 * h)
 		if math.Abs(fd-gx[i]) > 1e-3*(1+math.Abs(fd)) {
@@ -132,9 +141,9 @@ func TestPenaltyGradientMatchesFiniteDifference(t *testing.T) {
 		}
 		orig = y[i]
 		y[i] = orig + h
-		fp = g.Penalty(objs, x, y, nil, nil)
+		fp = g.Penalty(objs, x, y)
 		y[i] = orig - h
-		fm = g.Penalty(objs, x, y, nil, nil)
+		fm = g.Penalty(objs, x, y)
 		y[i] = orig
 		fd = (fp - fm) / (2 * h)
 		if math.Abs(fd-gy[i]) > 1e-3*(1+math.Abs(fd)) {
@@ -156,7 +165,7 @@ func TestGradientPushesApart(t *testing.T) {
 	y := []float64{50, 50}
 	gx := make([]float64, 2)
 	gy := make([]float64, 2)
-	before := g.Penalty(objs, x, y, gx, gy)
+	before := penaltyWithGradient(g, objs, x, y, gx, gy)
 	// Object 1 sits right of object 0: pushing 1 right reduces overlap.
 	if gx[1] >= 0 {
 		t.Errorf("expected negative-penalty direction to the right, gx[1] = %v", gx[1])
@@ -164,7 +173,7 @@ func TestGradientPushesApart(t *testing.T) {
 	step := 2.0 / math.Max(math.Abs(gx[0]), math.Abs(gx[1]))
 	x[0] -= step * gx[0]
 	x[1] -= step * gx[1]
-	after := g.Penalty(objs, x, y, nil, nil)
+	after := g.Penalty(objs, x, y)
 	if after >= before {
 		t.Errorf("descent step did not reduce penalty: %v -> %v", before, after)
 	}
@@ -226,7 +235,7 @@ func TestSmallObjectsStillSpread(t *testing.T) {
 	y := []float64{50, 50}
 	gx := make([]float64, 2)
 	gy := make([]float64, 2)
-	g.Penalty(objs, x, y, gx, gy)
+	penaltyWithGradient(g, objs, x, y, gx, gy)
 	if gx[0] == 0 && gx[1] == 0 {
 		t.Error("tiny stacked objects produced zero gradient")
 	}
@@ -246,7 +255,7 @@ func TestPenaltyDropsAsObjectsSpread(t *testing.T) {
 		xc[i] = 50 + float64(i%4)
 		yc[i] = 50 + float64(i/4)
 	}
-	clumped := g.Penalty(objs, xc, yc, nil, nil)
+	clumped := g.Penalty(objs, xc, yc)
 	// Uniform 4x4 arrangement.
 	xs := make([]float64, n)
 	ys := make([]float64, n)
@@ -254,29 +263,9 @@ func TestPenaltyDropsAsObjectsSpread(t *testing.T) {
 		xs[i] = 12.5 + 25*float64(i%4)
 		ys[i] = 12.5 + 25*float64(i/4)
 	}
-	spread := g.Penalty(objs, xs, ys, nil, nil)
+	spread := g.Penalty(objs, xs, ys)
 	if spread >= clumped {
 		t.Errorf("spread penalty %v should be below clumped %v", spread, clumped)
-	}
-}
-
-func BenchmarkPenaltyWithGradient(b *testing.B) {
-	g := NewGrid(geom.NewRect(0, 0, 1000, 1000), 64, 64, 0.8)
-	rng := rand.New(rand.NewSource(31))
-	n := 5000
-	objs := make([]Obj, n)
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := range objs {
-		objs[i] = Obj{HalfW: 2 + rng.Float64()*6, HalfH: 6, Area: 50}
-		x[i] = rng.Float64() * 1000
-		y[i] = rng.Float64() * 1000
-	}
-	gx := make([]float64, n)
-	gy := make([]float64, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Penalty(objs, x, y, gx, gy)
 	}
 }
 
@@ -341,8 +330,8 @@ func TestParallelPenaltyMatchesSerial(t *testing.T) {
 	gy1 := make([]float64, n)
 	gx2 := make([]float64, n)
 	gy2 := make([]float64, n)
-	v1 := g1.Penalty(objs, x, y, gx1, gy1)
-	v2 := g2.Penalty(objs, x, y, gx2, gy2)
+	v1 := penaltyWithGradient(g1, objs, x, y, gx1, gy1)
+	v2 := penaltyWithGradient(g2, objs, x, y, gx2, gy2)
 	if math.Abs(v1-v2) > 1e-6*(1+math.Abs(v1)) {
 		t.Errorf("value differs: serial %v parallel %v", v1, v2)
 	}
@@ -353,7 +342,7 @@ func TestParallelPenaltyMatchesSerial(t *testing.T) {
 		}
 	}
 	// Value-only path too.
-	if v1b, v2b := g1.Penalty(objs, x, y, nil, nil), g2.Penalty(objs, x, y, nil, nil); math.Abs(v1b-v2b) > 1e-6*(1+v1b) {
+	if v1b, v2b := g1.Penalty(objs, x, y), g2.Penalty(objs, x, y); math.Abs(v1b-v2b) > 1e-6*(1+v1b) {
 		t.Errorf("value-only differs: %v vs %v", v1b, v2b)
 	}
 }
@@ -365,14 +354,16 @@ func TestSetWorkersSmallInputFallsBack(t *testing.T) {
 	x := []float64{50}
 	y := []float64{50}
 	// Single object: serial path must be used without panicking.
-	if v := g.Penalty(objs, x, y, nil, nil); v <= 0 {
+	if v := g.Penalty(objs, x, y); v <= 0 {
 		t.Errorf("penalty = %v", v)
 	}
 }
 
-func BenchmarkPenaltyParallel(b *testing.B) {
+// benchPenalty times the value and gradient passes separately on 5000
+// objects over a 64×64 grid.
+func benchPenalty(b *testing.B, workers int) {
 	g := NewGrid(geom.NewRect(0, 0, 1000, 1000), 64, 64, 0.8)
-	g.SetWorkers(0)
+	g.SetWorkers(workers)
 	rng := rand.New(rand.NewSource(31))
 	n := 5000
 	objs := make([]Obj, n)
@@ -385,8 +376,19 @@ func BenchmarkPenaltyParallel(b *testing.B) {
 	}
 	gx := make([]float64, n)
 	gy := make([]float64, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Penalty(objs, x, y, gx, gy)
-	}
+	b.Run("value", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			g.Penalty(objs, x, y)
+		}
+	})
+	b.Run("gradient", func(b *testing.B) {
+		g.Penalty(objs, x, y)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			g.PenaltyGradient(objs, x, y, gx, gy)
+		}
+	})
 }
+
+func BenchmarkPenalty(b *testing.B)         { benchPenalty(b, 1) }
+func BenchmarkPenaltyParallel(b *testing.B) { benchPenalty(b, 0) }

@@ -9,9 +9,23 @@ import (
 	"math"
 )
 
-// Func is the objective: it returns f(v) and, when grad is non-nil, writes
-// ∇f(v) into grad (grad arrives zeroed).
-type Func func(v []float64, grad []float64) float64
+// Objective is the function CG minimizes, split into a value pass and a
+// gradient pass.
+//
+// Contract: CG requests a gradient only for the point of its most recent
+// Value call — the first gradient included — and leaves that slice
+// unmodified until the Gradient call returns. Every accepted line-search
+// trial is the next iterate, so the gradient at it costs no extra value
+// evaluation, and an objective may keep a reference to v and cache
+// whatever its value pass computed (exponentials, density maps) to form
+// the gradient from. No vector-equality cache key is needed.
+type Objective interface {
+	// Value returns f(v).
+	Value(v []float64) float64
+	// Gradient writes ∇f at the point of the most recent Value call into
+	// grad, which arrives zeroed.
+	Gradient(grad []float64)
+}
 
 // Options tunes the CG run. Zero values select reasonable defaults.
 type Options struct {
@@ -24,8 +38,12 @@ type Options struct {
 	// objective decrease falls below it — the cheap plateau detector the
 	// placer uses to avoid burning iterations at a converged λ round.
 	RelTol float64
-	// StepInit is the first trial step length (default 1; subsequent
-	// iterations start from twice the last accepted step).
+	// StepInit is the first trial step length (default 1): the first
+	// Armijo trial of an iteration moves the largest coordinate by the
+	// current step budget. The budget starts at StepInit, doubles after
+	// every accepted iteration up to 16×StepInit — whatever step the
+	// backtracking actually accepted — and is quartered when a line
+	// search stalls.
 	StepInit float64
 	// MaxBacktrack bounds the Armijo halvings per iteration (default 30).
 	MaxBacktrack int
@@ -69,9 +87,12 @@ func (o Options) withDefaults() Options {
 
 // Result reports the outcome of a CG run.
 type Result struct {
-	Value     float64
-	Iters     int
-	FuncEvals int
+	Value float64
+	Iters int
+	// ValueEvals counts Value calls: the initial point plus every
+	// line-search trial. Gradients are one per accepted iteration plus
+	// the initial one, so ValueEvals/Iters is the line search's cost.
+	ValueEvals int
 	// Converged is true when the gradient tolerance was met (as opposed
 	// to stopping on MaxIter or a stalled line search).
 	Converged bool
@@ -100,7 +121,7 @@ func dot(a, b []float64) float64 {
 // reset to steepest descent whenever β < 0 or the direction loses descent,
 // which makes it globally convergent on the nonconvex placement
 // objectives it is used for.
-func CG(f Func, v []float64, opt Options) Result {
+func CG(f Objective, v []float64, opt Options) Result {
 	opt = opt.withDefaults()
 	n := len(v)
 	res := Result{}
@@ -114,8 +135,9 @@ func CG(f Func, v []float64, opt Options) Result {
 	dir := make([]float64, n)
 	trial := make([]float64, n)
 
-	fv := f(v, grad)
-	res.FuncEvals++
+	fv := f.Value(v)
+	res.ValueEvals++
+	f.Gradient(grad)
 	for i := range dir {
 		dir[i] = -grad[i]
 	}
@@ -157,8 +179,8 @@ func CG(f Func, v []float64, opt Options) Result {
 			if opt.Project != nil {
 				opt.Project(trial)
 			}
-			fNew = f(trial, nil)
-			res.FuncEvals++
+			fNew = f.Value(trial)
+			res.ValueEvals++
 			if fNew <= fv+opt.ArmijoC*alpha*dd {
 				accepted = true
 				break
@@ -178,14 +200,16 @@ func CG(f Func, v []float64, opt Options) Result {
 			}
 			continue
 		}
+		// The accepted trial was the last point valued, so its value is
+		// the new fv and its gradient is the one the contract allows.
 		copy(v, trial)
 		copy(prevGrad, grad)
 		for i := range grad {
 			grad[i] = 0
 		}
 		fPrev := fv
-		fv = f(v, grad)
-		res.FuncEvals++
+		fv = fNew
+		f.Gradient(grad)
 		if opt.RelTol > 0 && fPrev-fv < opt.RelTol*(math.Abs(fPrev)+1e-30) {
 			if opt.OnIter != nil {
 				opt.OnIter(iter, fv)
@@ -212,7 +236,9 @@ func CG(f Func, v []float64, opt Options) Result {
 		for i := range dir {
 			dir[i] = -grad[i] + beta*dir[i]
 		}
-		// Grow the step budget after a clean acceptance.
+		// Grow the step budget after a clean acceptance. The budget
+		// doubles from its own previous value, not from the step the
+		// backtracking accepted (see Options.StepInit).
 		step = math.Min(step*2, opt.StepInit*16)
 	}
 	res.Value = fv

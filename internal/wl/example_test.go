@@ -22,7 +22,7 @@ func ExampleWA() {
 	x := []float64{10, 30}
 	y := []float64{0, 0}
 	exact := wl.HPWL(nl, x, y)
-	smooth := wl.WA{Gamma: 1}.Eval(nl, x, y, nil, nil)
+	smooth := wl.NewEvaluator(nl, wl.WA, 1, 1).Value(x, y)
 	fmt.Printf("HPWL %.1f, WA underestimates: %v\n", exact, smooth <= exact)
 	// Output:
 	// HPWL 30.0, WA underestimates: true

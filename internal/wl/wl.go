@@ -9,8 +9,9 @@
 // are identified by index into flat coordinate arrays (their centers), and
 // each net pin is either an offset from a movable object or an absolute
 // fixed location. The global placer lowers the db.Design (or a clustered
-// version of it) into this view once per level and then evaluates
-// gradients thousands of times without touching the database.
+// version of it) into this view once per level, flattens it into an
+// Evaluator, and then evaluates values and gradients thousands of times
+// without touching the database.
 //
 // Model bracketing: for every net, WA ≤ HPWL ≤ LSE, and both smooth models
 // converge to HPWL as the smoothing parameter γ → 0. The property tests
@@ -46,12 +47,31 @@ type Netlist struct {
 	NumObjs int
 }
 
-// Model is a differentiable wirelength approximation. Eval returns the
-// total weighted wirelength and adds ∂WL/∂x and ∂WL/∂y into gx and gy
-// (callers zero them first when they want a pure wirelength gradient).
-type Model interface {
-	Eval(nl *Netlist, x, y []float64, gx, gy []float64) float64
-	Name() string
+// Model selects a smooth wirelength approximation; an Evaluator
+// evaluates it (see eval.go).
+type Model int
+
+const (
+	// WA is the weighted-average model. Per net and axis
+	//
+	//	WL = Σ xᵢ·e^{xᵢ/γ} / Σ e^{xᵢ/γ} − Σ xᵢ·e^{−xᵢ/γ} / Σ e^{−xᵢ/γ}
+	//
+	// Smaller γ tracks HPWL more closely but yields stiffer gradients;
+	// global placement anneals γ from coarse to fine.
+	WA Model = iota
+	// LSE is the log-sum-exp model:
+	//
+	//	WL = γ·ln Σ e^{xᵢ/γ} + γ·ln Σ e^{−xᵢ/γ}
+	//
+	// It upper-bounds HPWL by at most γ·ln(degree) per axis.
+	LSE
+)
+
+func (m Model) String() string {
+	if m == LSE {
+		return "LSE"
+	}
+	return "WA"
 }
 
 // pinX returns the x coordinate of pin p given object positions.
@@ -111,159 +131,4 @@ func NetHPWL(net *Net, x, y []float64) float64 {
 		maxY = math.Max(maxY, py)
 	}
 	return (maxX - minX) + (maxY - minY)
-}
-
-// WA is the weighted-average wirelength model with smoothing parameter
-// Gamma. Smaller Gamma tracks HPWL more closely but yields stiffer
-// gradients; global placement anneals Gamma from coarse to fine.
-type WA struct {
-	Gamma float64
-}
-
-func (WA) Name() string { return "WA" }
-
-// Eval implements Model. Per net and axis it computes
-//
-//	WL = Σ xᵢ·e^{xᵢ/γ} / Σ e^{xᵢ/γ} − Σ xᵢ·e^{−xᵢ/γ} / Σ e^{−xᵢ/γ}
-//
-// with all exponentials shifted by the net max/min so their arguments are
-// ≤ 0 (the max-shift stabilization; the value is mathematically unchanged).
-func (m WA) Eval(nl *Netlist, x, y []float64, gx, gy []float64) float64 {
-	g := m.Gamma
-	var total float64
-	for i := range nl.Nets {
-		net := &nl.Nets[i]
-		if len(net.Pins) < 2 {
-			continue
-		}
-		w := net.Weight
-		if w == 0 {
-			w = 1
-		}
-		total += w * waAxis(net, x, gx, g, w, pinX)
-		total += w * waAxis(net, y, gy, g, w, pinY)
-	}
-	return total
-}
-
-// waAxis evaluates the WA model on one axis and accumulates w·gradient.
-// The returned value is unweighted; the caller applies the net weight.
-// Exponentials are computed once per pin and cached in stack buffers for
-// typical net degrees (the gradient pass reuses them).
-func waAxis(net *Net, coord []float64, grad []float64, gamma, w float64, at func(PinRef, []float64) float64) float64 {
-	deg := len(net.Pins)
-	var bufV, bufA, bufB [32]float64
-	vs, as, bs := bufV[:0], bufA[:0], bufB[:0]
-	if deg > len(bufV) {
-		vs = make([]float64, 0, deg)
-		as = make([]float64, 0, deg)
-		bs = make([]float64, 0, deg)
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, p := range net.Pins {
-		v := at(p, coord)
-		vs = append(vs, v)
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	var sPos, nPos, sNeg, nNeg float64
-	for _, v := range vs {
-		a := math.Exp((v - hi) / gamma)
-		b := math.Exp((lo - v) / gamma)
-		as = append(as, a)
-		bs = append(bs, b)
-		sPos += a
-		nPos += v * a
-		sNeg += b
-		nNeg += v * b
-	}
-	maxTerm := nPos / sPos
-	minTerm := nNeg / sNeg
-	if grad != nil {
-		for i, p := range net.Pins {
-			if p.Obj == Fixed {
-				continue
-			}
-			v := vs[i]
-			dMax := as[i] / sPos * (1 + (v-maxTerm)/gamma)
-			dMin := bs[i] / sNeg * (1 - (v-minTerm)/gamma)
-			grad[p.Obj] += w * (dMax - dMin)
-		}
-	}
-	return maxTerm - minTerm
-}
-
-// LSE is the log-sum-exp wirelength model with smoothing parameter Gamma:
-//
-//	WL = γ·ln Σ e^{xᵢ/γ} + γ·ln Σ e^{−xᵢ/γ}
-//
-// also max-shift stabilized. It upper-bounds HPWL by at most γ·ln(degree)
-// per axis.
-type LSE struct {
-	Gamma float64
-}
-
-func (LSE) Name() string { return "LSE" }
-
-// Eval implements Model.
-func (m LSE) Eval(nl *Netlist, x, y []float64, gx, gy []float64) float64 {
-	g := m.Gamma
-	var total float64
-	for i := range nl.Nets {
-		net := &nl.Nets[i]
-		if len(net.Pins) < 2 {
-			continue
-		}
-		w := net.Weight
-		if w == 0 {
-			w = 1
-		}
-		total += w * lseAxis(net, x, gx, g, w, pinX)
-		total += w * lseAxis(net, y, gy, g, w, pinY)
-	}
-	return total
-}
-
-func lseAxis(net *Net, coord []float64, grad []float64, gamma, w float64, at func(PinRef, []float64) float64) float64 {
-	deg := len(net.Pins)
-	var bufA, bufB [32]float64
-	as, bs := bufA[:0], bufB[:0]
-	if deg > len(bufA) {
-		as = make([]float64, 0, deg)
-		bs = make([]float64, 0, deg)
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, p := range net.Pins {
-		v := at(p, coord)
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	var sPos, sNeg float64
-	for _, p := range net.Pins {
-		v := at(p, coord)
-		a := math.Exp((v - hi) / gamma)
-		b := math.Exp((lo - v) / gamma)
-		as = append(as, a)
-		bs = append(bs, b)
-		sPos += a
-		sNeg += b
-	}
-	if grad != nil {
-		for i, p := range net.Pins {
-			if p.Obj == Fixed {
-				continue
-			}
-			grad[p.Obj] += w * (as[i]/sPos - bs[i]/sNeg)
-		}
-	}
-	// ln Σ e^{(v-hi)/γ} = ln Σ e^{v/γ} − hi/γ, so add the shifts back.
-	return gamma*math.Log(sPos) + hi + (gamma*math.Log(sNeg) - lo)
 }

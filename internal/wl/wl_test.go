@@ -68,11 +68,16 @@ func TestDegenerateNetsIgnored(t *testing.T) {
 	if HPWL(nl, x, y) != 0 {
 		t.Error("single-pin and empty nets must contribute 0")
 	}
-	for _, m := range []Model{WA{Gamma: 1}, LSE{Gamma: 1}} {
-		if got := m.Eval(nl, x, y, nil, nil); got != 0 {
-			t.Errorf("%s on degenerate nets = %v", m.Name(), got)
+	for _, m := range []Model{WA, LSE} {
+		if got := value(nl, m, 1, x, y); got != 0 {
+			t.Errorf("%s on degenerate nets = %v", m, got)
 		}
 	}
+}
+
+// value evaluates model m with smoothing gamma serially.
+func value(nl *Netlist, m Model, gamma float64, x, y []float64) float64 {
+	return NewEvaluator(nl, m, gamma, 1).Value(x, y)
 }
 
 // randNetlist builds a random netlist over n objects for property tests.
@@ -109,8 +114,8 @@ func TestModelBracketing(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		nl, x, y := randNetlist(rng, 20, 30)
 		h := HPWL(nl, x, y)
-		wa := WA{Gamma: 2}.Eval(nl, x, y, nil, nil)
-		lse := LSE{Gamma: 2}.Eval(nl, x, y, nil, nil)
+		wa := value(nl, WA, 2, x, y)
+		lse := value(nl, LSE, 2, x, y)
 		if wa > h+1e-6 {
 			t.Fatalf("trial %d: WA %v > HPWL %v", trial, wa, h)
 		}
@@ -126,8 +131,8 @@ func TestGammaConvergence(t *testing.T) {
 	nl, x, y := randNetlist(rng, 15, 20)
 	h := HPWL(nl, x, y)
 	for _, gamma := range []float64{8, 2, 0.5, 0.1} {
-		wa := WA{Gamma: gamma}.Eval(nl, x, y, nil, nil)
-		lse := LSE{Gamma: gamma}.Eval(nl, x, y, nil, nil)
+		wa := value(nl, WA, gamma, x, y)
+		lse := value(nl, LSE, gamma, x, y)
 		waErr := math.Abs(wa-h) / h
 		lseErr := math.Abs(lse-h) / h
 		if gamma <= 0.1 {
@@ -142,7 +147,7 @@ func TestGammaConvergence(t *testing.T) {
 	// Error must shrink monotonically with gamma for WA.
 	prevErr := math.Inf(1)
 	for _, gamma := range []float64{8, 4, 2, 1, 0.5} {
-		wa := WA{Gamma: gamma}.Eval(nl, x, y, nil, nil)
+		wa := value(nl, WA, gamma, x, y)
 		err := math.Abs(wa - h)
 		if err > prevErr+1e-9 {
 			t.Errorf("WA error grew when gamma shrank to %v", gamma)
@@ -160,8 +165,8 @@ func TestWATighterThanLSE(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		nl, x, y := randNetlist(rng, 20, 30)
 		h := HPWL(nl, x, y)
-		waErr := math.Abs(WA{Gamma: 4}.Eval(nl, x, y, nil, nil) - h)
-		lseErr := math.Abs(LSE{Gamma: 4}.Eval(nl, x, y, nil, nil) - h)
+		waErr := math.Abs(value(nl, WA, 4, x, y) - h)
+		lseErr := math.Abs(value(nl, LSE, 4, x, y) - h)
 		if waErr <= lseErr {
 			waWins++
 		}
@@ -173,12 +178,14 @@ func TestWATighterThanLSE(t *testing.T) {
 
 // checkGradient compares the analytic gradient against central finite
 // differences.
-func checkGradient(t *testing.T, m Model, nl *Netlist, x, y []float64) {
+func checkGradient(t *testing.T, m Model, gamma float64, nl *Netlist, x, y []float64) {
 	t.Helper()
 	n := nl.NumObjs
 	gx := make([]float64, n)
 	gy := make([]float64, n)
-	m.Eval(nl, x, y, gx, gy)
+	e := NewEvaluator(nl, m, gamma, 1)
+	e.Value(x, y)
+	e.Gradient(gx, gy)
 	const h = 1e-5
 	for i := 0; i < n; i++ {
 		for axis := 0; axis < 2; axis++ {
@@ -190,13 +197,13 @@ func checkGradient(t *testing.T, m Model, nl *Netlist, x, y []float64) {
 			}
 			orig := coord[i]
 			coord[i] = orig + h
-			fp := m.Eval(nl, x, y, nil, nil)
+			fp := e.Value(x, y)
 			coord[i] = orig - h
-			fm := m.Eval(nl, x, y, nil, nil)
+			fm := e.Value(x, y)
 			coord[i] = orig
 			fd := (fp - fm) / (2 * h)
 			if math.Abs(fd-grad[i]) > 1e-4*(1+math.Abs(fd)) {
-				t.Errorf("%s grad mismatch obj %d axis %d: analytic %v fd %v", m.Name(), i, axis, grad[i], fd)
+				t.Errorf("%s grad mismatch obj %d axis %d: analytic %v fd %v", m, i, axis, grad[i], fd)
 			}
 		}
 	}
@@ -205,13 +212,13 @@ func checkGradient(t *testing.T, m Model, nl *Netlist, x, y []float64) {
 func TestWAGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	nl, x, y := randNetlist(rng, 8, 12)
-	checkGradient(t, WA{Gamma: 3}, nl, x, y)
+	checkGradient(t, WA, 3, nl, x, y)
 }
 
 func TestLSEGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	nl, x, y := randNetlist(rng, 8, 12)
-	checkGradient(t, LSE{Gamma: 3}, nl, x, y)
+	checkGradient(t, LSE, 3, nl, x, y)
 }
 
 // Numerical stability: huge coordinates must not produce NaN/Inf thanks to
@@ -220,16 +227,18 @@ func TestNumericalStability(t *testing.T) {
 	nl := twoPin()
 	x := []float64{0, 1e7}
 	y := []float64{-1e7, 1e7}
-	for _, m := range []Model{WA{Gamma: 0.5}, LSE{Gamma: 0.5}} {
+	for _, m := range []Model{WA, LSE} {
 		gx := make([]float64, 2)
 		gy := make([]float64, 2)
-		v := m.Eval(nl, x, y, gx, gy)
+		e := NewEvaluator(nl, m, 0.5, 1)
+		v := e.Value(x, y)
+		e.Gradient(gx, gy)
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Errorf("%s value not finite: %v", m.Name(), v)
+			t.Errorf("%s value not finite: %v", m, v)
 		}
 		for i := range gx {
 			if math.IsNaN(gx[i]) || math.IsNaN(gy[i]) {
-				t.Errorf("%s gradient not finite at obj %d", m.Name(), i)
+				t.Errorf("%s gradient not finite at obj %d", m, i)
 			}
 		}
 	}
@@ -242,12 +251,14 @@ func TestGradientDirection(t *testing.T) {
 	nl := twoPin()
 	x := []float64{0, 10}
 	y := []float64{0, 0}
-	for _, m := range []Model{WA{Gamma: 1}, LSE{Gamma: 1}} {
+	for _, m := range []Model{WA, LSE} {
 		gx := make([]float64, 2)
 		gy := make([]float64, 2)
-		m.Eval(nl, x, y, gx, gy)
+		e := NewEvaluator(nl, m, 1, 1)
+		e.Value(x, y)
+		e.Gradient(gx, gy)
 		if gx[1] <= 0 || gx[0] >= 0 {
-			t.Errorf("%s gradient signs wrong: %v", m.Name(), gx)
+			t.Errorf("%s gradient signs wrong: %v", m, gx)
 		}
 	}
 }
@@ -282,9 +293,9 @@ func TestTranslationInvariance(t *testing.T) {
 			xs[i] = x[i] + shift
 			ys[i] = y[i] + shift
 		}
-		for _, m := range []Model{WA{Gamma: 2}, LSE{Gamma: 2}} {
-			a := m.Eval(nl, x, y, nil, nil)
-			b := m.Eval(nl, xs, ys, nil, nil)
+		for _, m := range []Model{WA, LSE} {
+			a := value(nl, m, 2, x, y)
+			b := value(nl, m, 2, xs, ys)
 			if math.Abs(a-b) > 1e-6*(1+math.Abs(a)) {
 				return false
 			}
@@ -296,49 +307,53 @@ func TestTranslationInvariance(t *testing.T) {
 	}
 }
 
-func BenchmarkWAEval(b *testing.B) {
+// benchEval times the value and gradient passes of model m separately.
+func benchEval(b *testing.B, m Model, objs, nets, workers int) {
 	rng := rand.New(rand.NewSource(23))
-	nl, x, y := randNetlist(rng, 1000, 3000)
-	gx := make([]float64, 1000)
-	gy := make([]float64, 1000)
-	m := WA{Gamma: 2}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Eval(nl, x, y, gx, gy)
-	}
+	nl, x, y := randNetlist(rng, objs, nets)
+	gx := make([]float64, objs)
+	gy := make([]float64, objs)
+	e := NewEvaluator(nl, m, 2, workers)
+	b.Run("value", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			e.Value(x, y)
+		}
+	})
+	b.Run("gradient", func(b *testing.B) {
+		e.Value(x, y)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.Gradient(gx, gy)
+		}
+	})
 }
 
-func BenchmarkLSEEval(b *testing.B) {
-	rng := rand.New(rand.NewSource(23))
-	nl, x, y := randNetlist(rng, 1000, 3000)
-	gx := make([]float64, 1000)
-	gy := make([]float64, 1000)
-	m := LSE{Gamma: 2}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Eval(nl, x, y, gx, gy)
-	}
-}
+func BenchmarkWAEval(b *testing.B)         { benchEval(b, WA, 1000, 3000, 1) }
+func BenchmarkLSEEval(b *testing.B)        { benchEval(b, LSE, 1000, 3000, 1) }
+func BenchmarkWAParallelEval(b *testing.B) { benchEval(b, WA, 20000, 60000, 0) }
 
 func TestParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	nl, x, y := randNetlist(rng, 200, 600)
-	for _, base := range []Model{WA{Gamma: 2}, LSE{Gamma: 2}} {
+	for _, m := range []Model{WA, LSE} {
+		serial := NewEvaluator(nl, m, 2, 1)
 		gx1 := make([]float64, 200)
 		gy1 := make([]float64, 200)
-		v1 := base.Eval(nl, x, y, gx1, gy1)
+		v1 := serial.Value(x, y)
+		serial.Gradient(gx1, gy1)
 		for _, workers := range []int{1, 2, 4, 7, 8} {
-			par := NewParallel(base, workers)
+			par := NewEvaluator(nl, m, 2, workers)
 			gx2 := make([]float64, 200)
 			gy2 := make([]float64, 200)
-			v2 := par.Eval(nl, x, y, gx2, gy2)
+			v2 := par.Value(x, y)
+			par.Gradient(gx2, gy2)
 			if math.Abs(v1-v2) > 1e-9*(1+math.Abs(v1)) {
-				t.Errorf("%s w=%d: value %v != %v", base.Name(), workers, v2, v1)
+				t.Errorf("%s w=%d: value %v != %v", m, workers, v2, v1)
 			}
 			for i := range gx1 {
 				if math.Abs(gx1[i]-gx2[i]) > 1e-9*(1+math.Abs(gx1[i])) ||
 					math.Abs(gy1[i]-gy2[i]) > 1e-9*(1+math.Abs(gy1[i])) {
-					t.Fatalf("%s w=%d: gradient differs at %d", base.Name(), workers, i)
+					t.Fatalf("%s w=%d: gradient differs at %d", m, workers, i)
 				}
 			}
 		}
@@ -349,24 +364,11 @@ func TestParallelSmallFallsBack(t *testing.T) {
 	nl := twoPin()
 	x := []float64{0, 3}
 	y := []float64{0, 4}
-	par := NewParallel(WA{Gamma: 1}, 8)
-	serial := WA{Gamma: 1}.Eval(nl, x, y, nil, nil)
-	if got := par.Eval(nl, x, y, nil, nil); got != serial {
+	par := NewEvaluator(nl, WA, 1, 8)
+	if par.workers != 1 {
+		t.Errorf("1-net netlist kept %d workers", par.workers)
+	}
+	if got, serial := par.Value(x, y), value(nl, WA, 1, x, y); got != serial {
 		t.Errorf("small netlist path differs: %v vs %v", got, serial)
-	}
-	if par.Name() != "WA-parallel" {
-		t.Errorf("Name = %q", par.Name())
-	}
-}
-
-func BenchmarkWAParallelEval(b *testing.B) {
-	rng := rand.New(rand.NewSource(23))
-	nl, x, y := randNetlist(rng, 20000, 60000)
-	gx := make([]float64, 20000)
-	gy := make([]float64, 20000)
-	m := NewParallel(WA{Gamma: 2}, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Eval(nl, x, y, gx, gy)
 	}
 }
