@@ -108,6 +108,13 @@ func (g *Grid) PenaltyGradient(objs []Obj, x, y []float64, gx, gy []float64) {
 // b0, the values p[j] of bin b0+j and their sum, and, when dpBuf is
 // non-nil, the slopes ∂p/∂c and their sum. The buffers are grown as
 // needed and back the returned slices.
+//
+// The sums cover every reachable bin, but the returned slices drop the
+// leading and trailing bins whose value (and slope) is exactly zero: the
+// bell's compact support ends there, and a zero bin would only add +0 to
+// the kernels' non-negative demand and to their gradient sums. Trimming
+// tests the values, not the support formula, so it stays exact wherever
+// the die edge clips the range.
 func bellAxis(c, half, origin, step float64, nb int, pBuf, dpBuf *[]float64) (b0 int, p, dp []float64, s, ds float64) {
 	h := effHalf(half, step)
 	shape := newBell(h, step)
@@ -124,7 +131,8 @@ func bellAxis(c, half, origin, step float64, nb int, pBuf, dpBuf *[]float64) (b0
 			p[j] = v
 			s += v
 		}
-		return b0, p, nil, s, 0
+		i, k := trimZeros(p, nil)
+		return b0 + i, p[i:k], nil, s, 0
 	}
 	if cap(*dpBuf) < m {
 		*dpBuf = make([]float64, 2*m)
@@ -142,7 +150,22 @@ func bellAxis(c, half, origin, step float64, nb int, pBuf, dpBuf *[]float64) (b0
 		s += v
 		ds += dv
 	}
-	return b0, p, dp, s, ds
+	i, k := trimZeros(p, dp)
+	return b0 + i, p[i:k], dp[i:k], s, ds
+}
+
+// trimZeros returns the range [i, k) of p left after dropping the
+// leading and trailing entries where p, and dp when non-nil, are zero.
+func trimZeros(p, dp []float64) (i, k int) {
+	zero := func(j int) bool { return p[j] == 0 && (dp == nil || dp[j] == 0) }
+	k = len(p)
+	for i < k && zero(i) {
+		i++
+	}
+	for k > i && zero(k-1) {
+		k--
+	}
+	return i, k
 }
 
 // depositRange deposits objects [lo, hi) into dst.
@@ -173,16 +196,22 @@ func (g *Grid) gradientRange(objs []Obj, x, y []float64, lo, hi int, gx, gy []fl
 			continue
 		}
 		c := objs[i].Area / (sx * sy)
+		// The x factor px' − px·sx'/sx depends on the column only: form
+		// it once, in place of the slopes it alone reads.
+		qx := dpx
+		for k, pxv := range px {
+			qx[k] = dpx[k] - pxv*dsx/sx
+		}
 		var gxi, gyi float64
 		for j, pyv := range py {
-			dpyv := dpy[j]
+			qy := dpy[j] - pyv*dsy/sy
 			row := (y0+j)*g.NX + x0
 			dem := g.demand[row:][:len(px)]
 			capa := g.capArea[row:][:len(px)]
 			for k, pxv := range px {
 				e := 2 * (dem[k] - capa[k])
-				gxi += e * c * pyv * (dpx[k] - pxv*dsx/sx)
-				gyi += e * c * pxv * (dpyv - pyv*dsy/sy)
+				gxi += e * c * pyv * qx[k]
+				gyi += e * c * pxv * qy
 			}
 		}
 		gx[i] += gxi

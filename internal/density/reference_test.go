@@ -179,34 +179,60 @@ func refPenalty(g *Grid, workers int, objs []Obj, x, y, gx, gy []float64) float6
 	return total
 }
 
+// The trimmed kernels (bellAxis drops the zero bins at both ends of the
+// bell) must match the untrimmed reference wherever trimming bites: the
+// objects below mix cells far below the bin size (widened to one bin),
+// macro-sized objects spanning many bins, objects clipped at one die edge
+// and objects wider than the die (clipped at both edges, on both axes),
+// and centers exactly on a bin center or a bin edge, where the slopes
+// cancel and, for cells widened to one bin, the support ends exactly on
+// a bin center.
 func TestPenaltySplitMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
-	const n = 400
-	objs := make([]Obj, n)
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := range objs {
-		// Mix objects far below the bin size (widened to one bin) with
-		// macro-sized ones spanning many bins, and park some at or past
-		// the die edge so the bell ranges clip.
+	die := geom.NewRect(0, 0, 240, 200)
+	const nx, ny = 30, 26
+	binW, binH := die.W()/nx, die.H()/ny
+	var objs []Obj
+	var x, y []float64
+	add := func(hw, hh, cx, cy float64) {
+		objs = append(objs, Obj{HalfW: hw, HalfH: hh, Area: 4 * hw * hh * (0.5 + rng.Float64())})
+		x = append(x, cx)
+		y = append(y, cy)
+	}
+	for i := 0; i < 400; i++ {
 		hw, hh := 0.3+rng.Float64()*4, 0.3+rng.Float64()*3
 		if i%37 == 0 {
 			hw, hh = 20+rng.Float64()*20, 15+rng.Float64()*20
 		}
-		objs[i] = Obj{HalfW: hw, HalfH: hh, Area: 4 * hw * hh * (0.5 + rng.Float64())}
-		x[i] = rng.Float64() * 240
-		y[i] = rng.Float64() * 200
-		if i%29 == 0 {
-			x[i] = -5
+		cx, cy := rng.Float64()*240, rng.Float64()*200
+		switch i % 29 {
+		case 0:
+			cx = -5
+		case 1:
+			cx, cy = 243, -3
+		case 2:
+			cy = 204
 		}
+		add(hw, hh, cx, cy)
 	}
+	for k := 0; k < 12; k++ {
+		bx, by := rng.Intn(nx), rng.Intn(ny)
+		hw, hh := 0.3+rng.Float64()*12, 0.3+rng.Float64()*12
+		// On a bin center (as the kernels compute it) and on bin edges.
+		add(hw, hh, die.Lo.X+(float64(bx)+0.5)*binW, die.Lo.Y+(float64(by)+0.5)*binH)
+		add(hw, hh, die.Lo.X+float64(bx)*binW, die.Lo.Y+float64(by)*binH)
+		add(hw, hh, die.Lo.X+(float64(bx)+0.5)*binW, die.Lo.Y+float64(by)*binH)
+		// Wider and taller than the die: both edges clip on both axes.
+		add(130+rng.Float64()*20, 110+rng.Float64()*20, 60+rng.Float64()*120, 50+rng.Float64()*100)
+	}
+	n := len(objs)
 	x2 := append([]float64(nil), x...)
 	for i := range x2 {
 		x2[i] += rng.Float64()*4 - 2
 	}
 	for _, workers := range []int{1, 2, 4, 7, 8} {
 		t.Run(fmt.Sprintf("w=%d", workers), func(t *testing.T) {
-			g := NewGrid(geom.NewRect(0, 0, 240, 200), 30, 26, 0.8)
+			g := NewGrid(die, nx, ny, 0.8)
 			g.AddFixed(geom.NewRect(30, 30, 80, 90))
 			g.DerateNarrowChannels(25, 0.5)
 			g.SetWorkers(workers)

@@ -125,7 +125,7 @@ func (r *Router) reclaimBatches() {
 }
 
 // state returns worker k's reusable searchState, growing the pool on
-// demand.
+// demand. It appends to r.states, so call it before any worker starts.
 func (r *Router) state(k int) *searchState {
 	for len(r.states) <= k {
 		r.states = append(r.states, &searchState{})
@@ -150,13 +150,15 @@ func (r *Router) routeBatch(idxs []int) {
 		}
 		return
 	}
+	// Grow the state pool before the workers start: they only index it.
+	r.state(w - 1)
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	for k := 0; k < w; k++ {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			ss := r.state(k)
+			ss := r.states[k]
 			for {
 				i := int(cursor.Add(1)) - 1
 				if i >= len(idxs) {

@@ -99,6 +99,39 @@ func TestRouterRepeatedRunsIdentical(t *testing.T) {
 	}
 }
 
+// TestFreshRouterParallelReroute drives fresh multi-worker Routers
+// through reroute rounds whose batches hold several segments, so the
+// first parallel batch starts from an empty search-state pool. Run under
+// -race it guards the pool growth: the workers must only index the pool.
+func TestFreshRouterParallelReroute(t *testing.T) {
+	// Rasterize the cells in index order: the generator's local nets join
+	// nearby indices, so many segments stay short and their search
+	// windows disjoint enough to share batches.
+	d := gen.MustGenerate(gen.Congested(1200, 7))
+	mov := d.Movable()
+	k := int(math.Ceil(math.Sqrt(float64(len(mov)))))
+	for i, ci := range mov {
+		d.Cells[ci].SetCenter(geom.Point{
+			X: d.Die.Lo.X + (float64(i%k)+0.5)/float64(k)*d.Die.W(),
+			Y: d.Die.Lo.Y + (float64(i/k)+0.5)/float64(k)*d.Die.H(),
+		})
+	}
+	for _, w := range []int{2, 3, 8} {
+		g, err := NewGrid(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := NewRouter(g, RouterOptions{Workers: w, MaxRRRIters: 4})
+		res := r.RouteDesign(d)
+		if res.RRRIters == 0 {
+			t.Fatalf("workers=%d: no reroute round ran", w)
+		}
+		if len(r.states) < 2 {
+			t.Fatalf("workers=%d: no batch was routed in parallel (%d search states)", w, len(r.states))
+		}
+	}
+}
+
 // TestSearchWindow exercises window clamping and the epoch-stamped state
 // across many searches (including an epoch wraparound).
 func TestSearchWindow(t *testing.T) {

@@ -16,7 +16,13 @@ import (
 // Both exponentials of a pin are shifted by the net's max/min coordinate
 // so their arguments are ≤ 0 (the max-shift stabilization; the value is
 // mathematically unchanged), which keeps them finite for any coordinate
-// magnitude.
+// magnitude. The shift makes the extreme pins' exponentials known
+// exactly, so Value computes only e^{(lo−hi)/γ} once per net and axis
+// plus both exponentials of each interior pin: a pin at the max has
+// a = e^0 = 1 and b = e^{(lo−hi)/γ}, a pin at the min the reverse, and a
+// two-pin net takes one exponential in all. Every stored value and every
+// sum is bit-identical to computing all 2·degree exponentials (γ > 0,
+// finite coordinates).
 //
 // With more than one worker, nets are partitioned into contiguous equal
 // ranges, each worker accumulates a private gradient buffer, and the
@@ -156,6 +162,9 @@ func (e *Evaluator) valueRange(lo, hi int, x, y []float64) float64 {
 // coordinates and exponentials and the net's sums. The returned value is
 // unweighted.
 func (e *Evaluator) axisValue(k int, p0, p1 int32, coord []float64, ax *axis) float64 {
+	if p1-p0 == 2 {
+		return e.twoPinValue(k, p0, coord, ax)
+	}
 	obj := e.obj[p0:p1]
 	off := ax.off[p0:p1]
 	vs := ax.v[p0:p1]
@@ -176,10 +185,21 @@ func (e *Evaluator) axisValue(k int, p0, p1 int32, coord []float64, ax *axis) fl
 		}
 	}
 	gamma := e.gamma
+	// a at the min and b at the max share this argument; a at the max
+	// and b at the min are e^0 = 1.
+	span := math.Exp((lo - hi) / gamma)
 	var sPos, nPos, sNeg, nNeg float64
 	for i, v := range vs {
-		a := math.Exp((v - hi) / gamma)
-		b := math.Exp((lo - v) / gamma)
+		var a, b float64
+		switch v {
+		case hi:
+			a, b = 1, span
+		case lo:
+			a, b = span, 1
+		default:
+			a = math.Exp((v - hi) / gamma)
+			b = math.Exp((lo - v) / gamma)
+		}
 		as[i] = a
 		bs[i] = b
 		sPos += a
@@ -187,11 +207,54 @@ func (e *Evaluator) axisValue(k int, p0, p1 int32, coord []float64, ax *axis) fl
 		sNeg += b
 		nNeg += v * b
 	}
-	s := &ax.net[k]
+	return e.netValue(&ax.net[k], lo, hi, sPos, nPos, sNeg, nNeg)
+}
+
+// twoPinValue is axisValue for a two-pin net: both pins are extreme, so
+// one exponential gives all four. The sums still start from zero and add
+// the pins in order, as the loop does: 0 + x is not x when x is −0.
+func (e *Evaluator) twoPinValue(k int, p0 int32, coord []float64, ax *axis) float64 {
+	v0, v1 := ax.off[p0], ax.off[p0+1]
+	if o := e.obj[p0]; o != Fixed {
+		v0 = coord[o] + v0
+	}
+	if o := e.obj[p0+1]; o != Fixed {
+		v1 = coord[o] + v1
+	}
+	lo, hi := v0, v0
+	if v1 < v0 {
+		lo = v1
+	} else if v1 > v0 {
+		hi = v1
+	}
+	span := math.Exp((lo - hi) / e.gamma)
+	// Pin 0 is the max unless pin 1 lies above it; on a tie span = 1.
+	a0, b0, a1, b1 := 1.0, span, span, 1.0
+	if v1 > v0 {
+		a0, b0, a1, b1 = span, 1, 1, span
+	}
+	ax.v[p0], ax.v[p0+1] = v0, v1
+	ax.a[p0], ax.a[p0+1] = a0, a1
+	ax.b[p0], ax.b[p0+1] = b0, b1
+	var sPos, nPos, sNeg, nNeg float64
+	sPos += a0
+	nPos += v0 * a0
+	sNeg += b0
+	nNeg += v0 * b0
+	sPos += a1
+	nPos += v1 * a1
+	sNeg += b1
+	nNeg += v1 * b1
+	return e.netValue(&ax.net[k], lo, hi, sPos, nPos, sNeg, nNeg)
+}
+
+// netValue stores one net-axis's sums for Gradient and returns its
+// unweighted value.
+func (e *Evaluator) netValue(s *netSums, lo, hi, sPos, nPos, sNeg, nNeg float64) float64 {
 	s.sPos, s.sNeg = sPos, sNeg
 	if e.model == LSE {
 		// ln Σ e^{(v-hi)/γ} = ln Σ e^{v/γ} − hi/γ, so add the shifts back.
-		return gamma*math.Log(sPos) + hi + (gamma*math.Log(sNeg) - lo)
+		return e.gamma*math.Log(sPos) + hi + (e.gamma*math.Log(sNeg) - lo)
 	}
 	s.maxTerm = nPos / sPos
 	s.minTerm = nNeg / sNeg

@@ -202,24 +202,63 @@ func (p refParallel) Eval(nl *Netlist, x, y []float64, gx, gy []float64) float64
 
 // mixedNetlist covers every kernel path: degrees 2–40 (beyond the old
 // 32-pin stack buffers), fixed pins, zero weights (read as 1) and
-// degenerate nets that must be skipped.
+// degenerate nets that must be skipped. It also builds every case where
+// the evaluator knows an exponential without computing it: ties at the
+// max and at the min (pins sharing an object and offset, fixed pins at
+// one position), fully coincident nets (lo == hi), and two-pin nets with
+// zero, one or two fixed pins, coincident or not.
 func mixedNetlist(rng *rand.Rand, n int) (*Netlist, []float64, []float64) {
 	nl := &Netlist{NumObjs: n}
+	movable := func() PinRef {
+		return PinRef{Obj: rng.Intn(n), OffX: rng.Float64()*4 - 2, OffY: rng.Float64()*4 - 2}
+	}
+	fixed := func() PinRef {
+		return PinRef{Obj: Fixed, OffX: rng.Float64() * 300, OffY: rng.Float64() * 300}
+	}
+	weight := func(rep int) float64 {
+		if rep%4 == 0 {
+			return 0
+		}
+		return 0.5 + rng.Float64()
+	}
 	for deg := 2; deg <= 40; deg++ {
 		for rep := 0; rep < 12; rep++ {
-			net := Net{Weight: 0.5 + rng.Float64()}
-			if rep%4 == 0 {
-				net.Weight = 0
-			}
+			net := Net{Weight: weight(rep)}
 			for j := 0; j < deg; j++ {
 				if rng.Float64() < 0.15 {
-					net.Pins = append(net.Pins, PinRef{Obj: Fixed, OffX: rng.Float64() * 300, OffY: rng.Float64() * 300})
+					net.Pins = append(net.Pins, fixed())
 				} else {
-					net.Pins = append(net.Pins, PinRef{Obj: rng.Intn(n), OffX: rng.Float64()*4 - 2, OffY: rng.Float64()*4 - 2})
+					net.Pins = append(net.Pins, movable())
 				}
 			}
 			nl.Nets = append(nl.Nets, net)
 		}
+	}
+	for rep := 0; rep < 12; rep++ {
+		w := weight(rep)
+		a, b, f := movable(), movable(), fixed()
+		lo := PinRef{Obj: Fixed, OffX: -50 - float64(rep), OffY: -60}
+		hi := PinRef{Obj: Fixed, OffX: 400, OffY: 350 + float64(rep)}
+		nl.Nets = append(nl.Nets,
+			// Two pins: movable, one fixed, both fixed, coincident
+			// (same object and offset, or same fixed position).
+			Net{Weight: w, Pins: []PinRef{a, b}},
+			Net{Weight: w, Pins: []PinRef{a, f}},
+			Net{Weight: w, Pins: []PinRef{f, b}},
+			Net{Weight: w, Pins: []PinRef{f, fixed()}},
+			Net{Weight: w, Pins: []PinRef{a, a}},
+			Net{Weight: w, Pins: []PinRef{f, f}},
+			// Fully coincident: one object and offset, or one position.
+			Net{Weight: w, Pins: []PinRef{b, b, b}},
+			Net{Weight: w, Pins: []PinRef{f, f, f, f}},
+			// Ties at both extremes around interior pins: fixed pins at
+			// one position beyond every object, and pins sharing an
+			// object and offset.
+			Net{Weight: w, Pins: []PinRef{hi, movable(), lo, hi, movable(), lo, movable()}},
+			Net{Weight: w, Pins: []PinRef{lo, lo, movable(), hi, hi}},
+			Net{Weight: w, Pins: []PinRef{a, b, a, movable(), b, a}},
+			Net{Weight: w, Pins: []PinRef{a, f, a, f, movable()}},
+		)
 	}
 	nl.Nets = append(nl.Nets, Net{Weight: 1, Pins: []PinRef{{Obj: 0}}}, Net{Weight: 1})
 	rng.Shuffle(len(nl.Nets), func(i, j int) { nl.Nets[i], nl.Nets[j] = nl.Nets[j], nl.Nets[i] })
