@@ -41,17 +41,22 @@ test-serve:
 test-store:
 	$(GO) test -race -v ./internal/snap/ ./internal/store/
 	$(GO) test -race -run 'Checkpoint|Resume' ./internal/core/
-	$(GO) test -race -run 'TestRestart|TestDuplicate|TestStateDir' ./internal/serve/
+	$(GO) test -race -run 'TestRestart|TestDuplicate|TestDedupKey|TestStateDir' ./internal/serve/
 
-# FUZZTIME-bounded run of every Bookshelf reader fuzz target: malformed
-# input must produce *ParseError, never a panic. Go allows one -fuzz
-# pattern per invocation, hence the loop.
+# FUZZTIME-bounded run of every fuzz target: malformed Bookshelf input
+# must produce *ParseError, and any POST /jobs body must get a 202 or a
+# 4xx JSON error — never a 5xx, never a panic. Go allows one -fuzz
+# pattern per invocation, hence the loop. FuzzSubmit caps input
+# minimization: at the default 60s budget per new input, minimizing its
+# JSON bodies eats the whole smoke window.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	@for t in FuzzReadAux FuzzReadNets FuzzReadScl FuzzReadRoute FuzzReadHier; do \
 		echo "fuzz $$t ($(FUZZTIME))"; \
 		$(GO) test -fuzz "^$$t$$" -fuzztime $(FUZZTIME) -run '^$$' ./internal/bookshelf/ || exit 1; \
 	done
+	@echo "fuzz FuzzSubmit ($(FUZZTIME))"
+	$(GO) test -fuzz '^FuzzSubmit$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -run '^$$' ./internal/serve/
 
 # Table-2 style placement benchmarks (see DESIGN.md).
 bench:

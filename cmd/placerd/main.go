@@ -31,11 +31,11 @@
 //	placerd -coordinator -addr :8080
 //	placerd -join http://coordinator:8080 -addr :8081
 //
-// A coordinator accepts the same /jobs API as a single daemon but runs
-// nothing itself: it leases jobs to joined workers, reassigns them when a
-// worker dies mid-job (resuming from the last fetched checkpoint), and
-// stitches every worker's progress events into one gapless SSE stream
-// per job. A worker with -join runs the normal placerd service and
+// A coordinator serves the same /jobs API as a single daemon (the same
+// handlers, honoring -max-body and -pprof) but runs nothing itself: it
+// leases jobs to joined workers, reassigns them when a worker dies
+// mid-job (resuming from the last fetched checkpoint), and stitches
+// every worker's progress events into one gapless SSE stream per job. A worker with -join runs the normal placerd service and
 // additionally registers with the coordinator and heartbeats.
 package main
 
@@ -124,10 +124,12 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	// Both modes serve the same /jobs handlers with the same options.
+	apiOpt := serve.ServerOptions{MaxBodyBytes: *maxBody, Pprof: *pprofOn}
 	if *coordinator {
-		return runCoordinator(ctx, stop, ln, bound, logger, coordinatorConfig{
+		return runCoordinator(ctx, stop, ln, bound, logger, apiOpt, coordinatorConfig{
 			queue: *queue, workers: *workers, allowDir: *allowDir,
-			stateDir: *stateDir, storeMax: *storeMax, maxBody: *maxBody,
+			stateDir: *stateDir, storeMax: *storeMax,
 			lease: *lease, heartbeat: *heartbeat, retryBudget: *retryBudget,
 			drain: *drain,
 		})
@@ -149,8 +151,7 @@ func run() error {
 		ln.Close()
 		return err
 	}
-	api := serve.NewServer(mgr, serve.ServerOptions{MaxBodyBytes: *maxBody, Pprof: *pprofOn})
-	srv := &http.Server{Handler: api}
+	srv := &http.Server{Handler: serve.NewServer(mgr, apiOpt)}
 
 	var agent *fleet.Agent
 	if *join != "" {
@@ -206,11 +207,11 @@ func run() error {
 type coordinatorConfig struct {
 	queue, workers, retryBudget int
 	allowDir, stateDir          string
-	storeMax, maxBody           int64
+	storeMax                    int64
 	lease, heartbeat, drain     time.Duration
 }
 
-func runCoordinator(ctx context.Context, stop func(), ln net.Listener, bound string, logger *slog.Logger, cfg coordinatorConfig) error {
+func runCoordinator(ctx context.Context, stop func(), ln net.Listener, bound string, logger *slog.Logger, apiOpt serve.ServerOptions, cfg coordinatorConfig) error {
 	coord, err := fleet.NewCoordinator(fleet.Options{
 		QueueSize:      cfg.queue,
 		LeaseTTL:       cfg.lease,
@@ -226,8 +227,7 @@ func runCoordinator(ctx context.Context, stop func(), ln net.Listener, bound str
 		ln.Close()
 		return err
 	}
-	api := fleet.NewServer(coord, fleet.ServerOptions{MaxBodyBytes: cfg.maxBody})
-	srv := &http.Server{Handler: api}
+	srv := &http.Server{Handler: fleet.NewServer(coord, apiOpt)}
 
 	errc := make(chan error, 1)
 	go func() {

@@ -347,3 +347,45 @@ func BenchmarkIncrementalMove(b *testing.B) {
 		}
 	}
 }
+
+// TestNetDemandWeightScalesAndStaysLocal pins RUDY basics on a single
+// horizontal 2-pin net: a net's box demand scales linearly with its
+// weight, it totals about one horizontal track per tile spanned, and
+// tiles far from the net (and its pins) carry no demand.
+func TestNetDemandWeightScalesAndStaysLocal(t *testing.T) {
+	b := db.NewBuilder("r", geom.NewRect(0, 0, 100, 100))
+	a := b.AddStdCell("a", 2, 2)
+	c := b.AddStdCell("b", 2, 2)
+	b.AddNet("n", 3, b.CenterConn(a), b.CenterConn(c))
+	d := b.MustDesign()
+	d.Cells[a].Pos = geom.Point{X: 9, Y: 49}  // center (10,50), tile (1,5)
+	d.Cells[c].Pos = geom.Point{X: 89, Y: 49} // center (90,50), tile (9,5)
+	e := New(route.NewUniformGrid(geom.NewRect(0, 0, 100, 100), 10, 10, 10, 10), Options{})
+
+	// Tile (4,5) lies inside the net's box and holds no pin, so its
+	// demand is the box's alone.
+	mid := 5*e.NX + 4
+	e.Recompute(d)
+	h3, v3 := e.SnapshotDemand()
+	d.Nets[0].Weight = 1
+	e.Recompute(d)
+	h1, v1 := e.SnapshotDemand()
+	if h1[mid] <= 0 {
+		t.Fatal("no horizontal demand on a tile the net spans")
+	}
+	if h3[mid] != 3*h1[mid] || v3[mid] != 3*v1[mid] {
+		t.Errorf("weight 3 demand (h %d, v %d) is not 3× weight 1 demand (h %d, v %d)", h3[mid], v3[mid], h1[mid], v1[mid])
+	}
+	// The box spans 8 tile columns; one track across each, plus the two
+	// pins' escape demand.
+	var tot int64
+	for _, v := range h1 {
+		tot += v
+	}
+	if tracks := float64(tot) / fpScale; tracks < 4 || tracks > 12 {
+		t.Errorf("total horizontal demand %.2f tracks, want about 8", tracks)
+	}
+	if far := 0*e.NX + 4; h1[far] != 0 || v1[far] != 0 || h3[far] != 0 || v3[far] != 0 {
+		t.Errorf("demand far from the net: weight 1 (h %d, v %d), weight 3 (h %d, v %d)", h1[far], v1[far], h3[far], v3[far])
+	}
+}

@@ -96,25 +96,33 @@ func (c *Coordinator) kick() {
 
 // Submit validates the spec, consults the fleet-wide dedup store, and
 // queues a job for assignment. The design is loaded coordinator-side to
-// compute the dedup fingerprint, exactly as a worker would load it.
+// compute the dedup fingerprint, exactly as a worker would load it, and
+// load errors pass through as serve classified them: client mistakes are
+// serve.ErrBadSpec, environmental failures are not.
 func (c *Coordinator) Submit(spec serve.Spec) (*Job, error) {
 	if len(spec.Checkpoint) > 0 {
-		return nil, fmt.Errorf("%w: checkpoint is fleet-internal and cannot be submitted", ErrBadSpec)
+		return nil, fmt.Errorf("%w: checkpoint is fleet-internal and cannot be submitted", serve.ErrBadSpec)
 	}
 	if err := serve.ValidateSpec(spec); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadSpec, err)
+		return nil, err
 	}
 	if _, err := core.New(spec.Config); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadSpec, err)
+		return nil, fmt.Errorf("%w: %w", serve.ErrBadSpec, err)
 	}
 	d, err := serve.LoadDesign(spec, c.opt.AllowDir)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadSpec, err)
+		return nil, err
 	}
 
 	storeKey := ""
 	if c.store != nil {
-		if key, kerr := serve.DedupKey(d, spec, c.opt.Workers); kerr == nil {
+		// Workers' congestion defaults are invisible here, so the key
+		// applies only the coordinator's own Workers default.
+		cfg := spec.Config
+		if cfg.Workers == 0 {
+			cfg.Workers = c.opt.Workers
+		}
+		if key, kerr := serve.DedupKey(d, spec, cfg); kerr == nil {
 			storeKey = key
 			if arts, ok, _ := c.store.Get(key); ok {
 				return c.cachedJob(spec, d.Name, arts)
@@ -125,17 +133,17 @@ func (c *Coordinator) Submit(spec serve.Spec) (*Job, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, ErrShuttingDown
+		return nil, serve.ErrShuttingDown
 	}
 	if c.queuedLocked() >= c.opt.QueueSize {
 		c.mu.Unlock()
-		return nil, ErrQueueFull
+		return nil, serve.ErrQueueFull
 	}
 	c.nextJob++
 	j := &Job{
 		ID:   fmt.Sprintf("job-%06d", c.nextJob),
 		Spec: spec,
-		log:  newEventLog(),
+		log:  serve.NewBroker(),
 	}
 	j.state = serve.StateQueued
 	j.submitted = time.Now()
@@ -145,7 +153,7 @@ func (c *Coordinator) Submit(spec serve.Spec) (*Job, error) {
 	c.order = append(c.order, j.ID)
 	c.mu.Unlock()
 
-	j.log.publish(serve.Event{Type: serve.EventState, State: serve.StateQueued})
+	j.log.Publish(serve.Event{Type: serve.EventState, State: serve.StateQueued})
 	c.opt.Logger.Info("fleet job submitted", "job", j.ID, "design", d.Name)
 	c.kick()
 	return j, nil
@@ -156,14 +164,14 @@ func (c *Coordinator) cachedJob(spec serve.Spec, design string, arts map[string]
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, ErrShuttingDown
+		return nil, serve.ErrShuttingDown
 	}
 	c.nextJob++
 	now := time.Now()
 	j := &Job{
 		ID:   fmt.Sprintf("job-%06d", c.nextJob),
 		Spec: spec,
-		log:  newEventLog(),
+		log:  serve.NewBroker(),
 	}
 	j.state = serve.StateDone
 	j.cached = true
@@ -176,8 +184,8 @@ func (c *Coordinator) cachedJob(spec serve.Spec, design string, arts map[string]
 	c.order = append(c.order, j.ID)
 	c.mu.Unlock()
 
-	j.log.publish(serve.Event{Type: serve.EventState, State: serve.StateDone, Cached: true})
-	j.log.close()
+	j.log.Publish(serve.Event{Type: serve.EventState, State: serve.StateDone, Cached: true})
+	j.log.Close()
 	c.stats.jobsDone.Add(1)
 	c.opt.Logger.Info("fleet job served from artifact store", "job", j.ID, "design", design)
 	return j, nil
@@ -204,13 +212,30 @@ func (c *Coordinator) QueueDepth() int {
 // QueueCap is the submission bound (for 429 bodies and metrics).
 func (c *Coordinator) QueueCap() int { return c.opt.QueueSize }
 
+// Health is the /healthz body: liveness plus queue and worker gauges.
+func (c *Coordinator) Health() map[string]any {
+	live := 0
+	for _, wk := range c.Workers() {
+		if wk.Live {
+			live++
+		}
+	}
+	return map[string]any{
+		"status":       "ok",
+		"role":         "coordinator",
+		"queue_depth":  c.QueueDepth(),
+		"queue_cap":    c.QueueCap(),
+		"workers_live": live,
+	}
+}
+
 // Get looks a job up by ID.
 func (c *Coordinator) Get(id string) (*Job, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	j, ok := c.jobs[id]
 	if !ok {
-		return nil, ErrUnknownJob
+		return nil, serve.ErrUnknownJob
 	}
 	return j, nil
 }
@@ -269,7 +294,7 @@ func (c *Coordinator) cancelWorkerJob(addr, workerJob string) {
 // Register adds (or refreshes) a worker and returns its assigned id.
 func (c *Coordinator) Register(addr string, capacity int) (*workerState, error) {
 	if addr == "" {
-		return nil, fmt.Errorf("%w: register requires a reachable addr", ErrBadSpec)
+		return nil, fmt.Errorf("%w: register requires a reachable addr", serve.ErrBadSpec)
 	}
 	if capacity <= 0 {
 		capacity = 1
@@ -277,7 +302,7 @@ func (c *Coordinator) Register(addr string, capacity int) (*workerState, error) 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return nil, ErrShuttingDown
+		return nil, serve.ErrShuttingDown
 	}
 	// A re-registration from the same address supersedes the old identity:
 	// the previous incarnation's leases are expired by their own clocks.
@@ -486,7 +511,7 @@ func (c *Coordinator) assign() {
 	c.mu.Unlock()
 
 	for _, p := range picks {
-		p.j.log.publish(serve.Event{Type: EventAssign, Worker: p.w.ID})
+		p.j.log.Publish(serve.Event{Type: EventAssign, Worker: p.w.ID})
 		c.opt.Logger.Info("fleet job assigned", "job", p.j.ID, "worker", p.w.ID, "attempt", p.attempt, "resume", len(p.ck) > 0)
 		// The follower's context is canceled when the scheduler takes the
 		// job back (requeue), the job turns terminal, or the coordinator
@@ -598,7 +623,7 @@ func (c *Coordinator) requeue(j *Job, reason string) {
 	c.mu.Unlock()
 
 	c.stats.reassignments.Add(1)
-	j.log.publish(serve.Event{Type: EventRequeue, Worker: oldWorker, Error: reason})
+	j.log.Publish(serve.Event{Type: EventRequeue, Worker: oldWorker, Error: reason})
 	c.opt.Logger.Warn("fleet job requeued", "job", j.ID, "worker", oldWorker,
 		"reason", reason, "attempt", attempts, "backoff", backoff, "checkpoint", hasCk)
 	// Best-effort: tell the old worker to stop burning CPU on a job the
@@ -632,8 +657,8 @@ func (c *Coordinator) finishJob(j *Job, state serve.State, errMsg string) {
 	j.mu.Unlock()
 	c.mu.Unlock()
 
-	j.log.publish(serve.Event{Type: serve.EventState, State: state, Error: errMsg, Worker: worker})
-	j.log.close()
+	j.log.Publish(serve.Event{Type: serve.EventState, State: state, Error: errMsg, Worker: worker})
+	j.log.Close()
 	dur := time.Duration(0)
 	if !started.IsZero() {
 		dur = time.Since(started)

@@ -286,7 +286,7 @@ func liveWorkers(t *testing.T, coordURL string) []WorkerStatus {
 	return live
 }
 
-func jobStatus(t *testing.T, base, id string) Status {
+func jobStatus(t *testing.T, base, id string) serve.Status {
 	t.Helper()
 	resp, err := http.Get(base + "/jobs/" + id)
 	if err != nil {
@@ -297,7 +297,7 @@ func jobStatus(t *testing.T, base, id string) Status {
 		body, _ := io.ReadAll(resp.Body)
 		t.Fatalf("GET %s/jobs/%s = %d: %s", base, id, resp.StatusCode, body)
 	}
-	var st Status
+	var st serve.Status
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}

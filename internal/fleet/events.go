@@ -1,11 +1,5 @@
 package fleet
 
-import (
-	"sync"
-
-	"repro/internal/serve"
-)
-
 // Fleet-specific event types, alongside the serve.Event* types proxied
 // from workers. The stitched stream of a reassigned job reads like:
 //
@@ -18,69 +12,3 @@ const (
 	// (Event.Error carries the reason) and queued for reassignment.
 	EventRequeue = "requeue"
 )
-
-// eventLog is the coordinator-side per-job event log: the fleet twin of
-// serve's broker. Events proxied from every assignment attempt are
-// appended here with coordinator-assigned contiguous sequence numbers, so
-// SSE ?from= replay is gapless across reassignments.
-type eventLog struct {
-	mu     sync.Mutex
-	events []serve.Event
-	done   bool
-	// sig is closed (and replaced) on every publish and on close — a
-	// broadcast that wakes all waiting subscribers while they also select
-	// on their client's disconnect.
-	sig chan struct{}
-}
-
-func newEventLog() *eventLog {
-	return &eventLog{sig: make(chan struct{})}
-}
-
-// publish appends e (assigning its Seq) and wakes subscribers. Events
-// published after close are dropped.
-func (l *eventLog) publish(e serve.Event) {
-	l.mu.Lock()
-	if l.done {
-		l.mu.Unlock()
-		return
-	}
-	e.Seq = len(l.events)
-	l.events = append(l.events, e)
-	close(l.sig)
-	l.sig = make(chan struct{})
-	l.mu.Unlock()
-}
-
-// close marks the log complete; subscribers drain and stop.
-func (l *eventLog) close() {
-	l.mu.Lock()
-	if !l.done {
-		l.done = true
-		close(l.sig)
-		l.sig = make(chan struct{})
-	}
-	l.mu.Unlock()
-}
-
-// since returns the events from index `from` on, whether the log is
-// complete, and a channel closed on the next publish (or close). The
-// returned slice aliases the log and must not be mutated.
-func (l *eventLog) since(from int) (evs []serve.Event, done bool, sig <-chan struct{}) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if from < 0 {
-		from = 0
-	}
-	if from < len(l.events) {
-		evs = l.events[from:]
-	}
-	return evs, l.done, l.sig
-}
-
-// len returns the number of published events.
-func (l *eventLog) len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.events)
-}

@@ -14,14 +14,15 @@
 // the previous worker (GET /jobs/{id}/checkpoint, polled while the job
 // runs) and start fresh when none was journaled.
 //
-// The coordinator's public HTTP API is the same shape as a single
-// placerd — submit/status/cancel, SSE progress, artifact download — so
-// clients cannot tell a fleet from one daemon. The SSE stream is stitched
+// The coordinator's public /jobs API is served by the same handlers as a
+// single placerd (serve.NewServer over the Coordinator as its backend) —
+// submit/status/cancel, SSE progress, artifact download — so clients
+// cannot tell a fleet from one daemon. The SSE stream is stitched
 // coordinator-side: events proxied from every attempt land in one
-// contiguous per-job log, so ?from= replay works across reassignments
-// without gaps. Fingerprint-based dedup (internal/store) is consulted at
-// the coordinator, so an identical submission short-circuits fleet-wide
-// without touching a worker.
+// contiguous per-job serve.Broker, so ?from= replay works across
+// reassignments without gaps. Fingerprint-based dedup (internal/store)
+// is consulted at the coordinator, so an identical submission
+// short-circuits fleet-wide without touching a worker.
 //
 // The lease state machine:
 //
@@ -39,27 +40,18 @@ import (
 	"time"
 )
 
-// Errors the HTTP layer maps to status codes (mirroring internal/serve).
-var (
-	// ErrQueueFull rejects a submission because too many jobs are already
-	// waiting for a worker (HTTP 429 + Retry-After).
-	ErrQueueFull = errors.New("fleet: job queue full")
-	// ErrShuttingDown rejects submissions during coordinator shutdown (503).
-	ErrShuttingDown = errors.New("fleet: shutting down")
-	// ErrBadSpec wraps client mistakes (400).
-	ErrBadSpec = errors.New("fleet: bad job spec")
-	// ErrUnknownJob is returned for lookups of nonexistent job IDs (404).
-	ErrUnknownJob = errors.New("fleet: unknown job")
-	// ErrUnknownWorker is returned for heartbeats from workers the
-	// coordinator does not know (the worker must re-register).
-	ErrUnknownWorker = errors.New("fleet: unknown worker")
-)
+// ErrUnknownWorker is returned for heartbeats and deregistrations from
+// workers the coordinator does not know (HTTP 404: the worker must
+// re-register). Job-level errors are serve's sentinels (serve.ErrBadSpec,
+// serve.ErrQueueFull, serve.ErrShuttingDown, serve.ErrUnknownJob), so
+// both daemons answer them with the same status codes.
+var ErrUnknownWorker = errors.New("fleet: unknown worker")
 
 // Options configures a Coordinator. The zero value is serviceable for
 // local fleets.
 type Options struct {
 	// QueueSize bounds the number of jobs waiting for a worker (default
-	// 64). Submissions beyond it are rejected with ErrQueueFull.
+	// 64). Submissions beyond it are rejected with serve.ErrQueueFull.
 	QueueSize int
 	// LeaseTTL is how long an assignment stays valid without any sign of
 	// life from its worker (default 15s). Every proxied progress event and

@@ -112,9 +112,7 @@ func (c *Coordinator) submitToWorker(ctx context.Context, j *Job, addr string, c
 
 // errorMessage extracts the JSON error body, falling back to the code.
 func errorMessage(data []byte, code int) string {
-	var eb struct {
-		Error string `json:"error"`
-	}
+	var eb serve.ErrorBody
 	if json.Unmarshal(data, &eb) == nil && eb.Error != "" {
 		return eb.Error
 	}

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -16,7 +17,8 @@ type Job struct {
 	// checkpoints are injected into the copies sent to workers).
 	Spec serve.Spec
 
-	log *eventLog
+	// log is the stitched progress stream of every assignment attempt.
+	log *serve.Broker
 
 	mu        sync.Mutex
 	state     serve.State
@@ -47,19 +49,6 @@ type Job struct {
 	report, pl, trace []byte
 }
 
-// Status is the JSON view of a fleet job: the serve.Status shape plus
-// fleet attribution, so a client written against single-node placerd can
-// read it unchanged.
-type Status struct {
-	serve.Status
-	// Worker is the id of the worker currently (running) or last
-	// (terminal) owning the job.
-	Worker string `json:"worker,omitempty"`
-	// Attempts is the number of assignment attempts consumed (1 = never
-	// reassigned).
-	Attempts int `json:"attempts,omitempty"`
-}
-
 // State returns the job's current lifecycle state.
 func (j *Job) State() serve.State {
 	j.mu.Lock()
@@ -67,42 +56,30 @@ func (j *Job) State() serve.State {
 	return j.state
 }
 
-// Status snapshots the job for the API.
-func (j *Job) Status() Status {
+// Status snapshots the job for the API, with fleet attribution: the
+// worker currently (running) or last (terminal) owning the job and the
+// assignment attempts consumed.
+func (j *Job) Status() serve.Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := Status{
-		Status: serve.Status{
-			ID:        j.ID,
-			State:     j.state,
-			Design:    j.designName,
-			Error:     j.errMsg,
-			Submitted: j.submitted,
-			Events:    j.log.len(),
-			Cached:    j.cached,
-		},
-		Worker:   j.worker,
-		Attempts: j.attempts,
+	st := serve.Status{
+		ID:        j.ID,
+		State:     j.state,
+		Design:    j.designName,
+		Error:     j.errMsg,
+		Submitted: j.submitted,
+		Events:    j.log.Len(),
+		Cached:    j.cached,
+		Worker:    j.worker,
+		Attempts:  j.attempts,
 	}
-	if !j.started.IsZero() {
-		t := j.started
-		st.Started = &t
-		end := j.finished
-		if end.IsZero() {
-			end = time.Now()
-		}
-		st.DurationMS = float64(end.Sub(j.started)) / float64(time.Millisecond)
-	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		st.Finished = &t
-	}
+	st.SetTimes(j.started, j.finished)
 	return st
 }
 
-// Events exposes the stitched progress stream (see eventLog.since).
+// Events exposes the stitched progress stream (see serve.Broker.Since).
 func (j *Job) Events(from int) ([]serve.Event, bool, <-chan struct{}) {
-	return j.log.since(from)
+	return j.log.Since(from)
 }
 
 // Report returns the final JSON run report fetched from the worker that
@@ -127,6 +104,15 @@ func (j *Job) Trace() []byte {
 	return j.trace
 }
 
+// Heatmaps returns nil: the coordinator does not proxy heatmaps from its
+// workers, so its heatmap list is always empty.
+func (j *Job) Heatmaps() []obs.Heatmap { return nil }
+
+// CheckpointBytes returns nil: checkpoints fetched from workers are
+// fleet-internal and only travel to the job's next assignment, so the
+// coordinator's checkpoint route is a JSON 404.
+func (j *Job) CheckpointBytes() []byte { return nil }
+
 // setCheckpoint records the latest worker-reported checkpoint.
 func (j *Job) setCheckpoint(data []byte) {
 	if len(data) == 0 {
@@ -147,7 +133,7 @@ func (j *Job) publishProxied(e serve.Event, worker string, attempt int) {
 		return
 	}
 	e.Worker = worker
-	j.log.publish(e)
+	j.log.Publish(e)
 }
 
 // renewLease extends the lease while the job is still owned by the given
@@ -171,6 +157,6 @@ func (j *Job) publishRunning(worker string, attempt int) {
 	}
 	j.mu.Unlock()
 	if !stale {
-		j.log.publish(serve.Event{Type: serve.EventState, State: serve.StateRunning, Worker: worker})
+		j.log.Publish(serve.Event{Type: serve.EventState, State: serve.StateRunning, Worker: worker})
 	}
 }

@@ -40,8 +40,8 @@ func (s *fleetStats) finish(state serve.State, dur time.Duration) {
 	s.latency.Observe(dur.Seconds())
 }
 
-// writeMetrics renders the coordinator's Prometheus text exposition.
-func (c *Coordinator) writeMetrics(w io.Writer) {
+// WriteMetrics renders the coordinator's Prometheus text exposition.
+func (c *Coordinator) WriteMetrics(w io.Writer) {
 	workers := c.Workers()
 	live, lost := 0, 0
 	for _, wk := range workers {

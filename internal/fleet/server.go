@@ -5,323 +5,97 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 
 	"repro/internal/serve"
 )
 
-// ServerOptions tunes the coordinator's HTTP layer.
-type ServerOptions struct {
-	// MaxBodyBytes bounds submission bodies (default 32 MiB).
-	MaxBodyBytes int64
-	// RetryAfterSec is the Retry-After hint on 429 responses (default 2).
-	RetryAfterSec int
-}
-
-func (o ServerOptions) withDefaults() ServerOptions {
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 32 << 20
-	}
-	if o.RetryAfterSec <= 0 {
-		o.RetryAfterSec = 2
-	}
-	return o
-}
-
-// Server is the coordinator's HTTP API. The /jobs half is the same shape
-// as a single placerd — clients cannot tell a fleet from one daemon —
-// and /fleet/* is the worker-facing control plane:
+// NewServer is the coordinator's HTTP API: the /jobs API, served by the
+// same handlers as a single placerd (serve.NewServer over c), plus the
+// worker-facing control plane on the same mux:
 //
-//	POST   /jobs                submit (202; 429 when the queue is full)
-//	GET    /jobs                list job statuses
-//	GET    /jobs/{id}           one job's status (+ worker, attempts)
-//	DELETE /jobs/{id}           cancel (202)
-//	GET    /jobs/{id}/events    stitched SSE progress (?from=<seq> resumes,
-//	                            gapless across reassignments)
-//	GET    /jobs/{id}/report    final report (with fleet attribution)
-//	GET    /jobs/{id}/result.pl placed .pl
-//	GET    /jobs/{id}/trace     Chrome trace-event JSON
 //	POST   /fleet/register      worker registration
 //	POST   /fleet/heartbeat     worker liveness + active job set
 //	GET    /fleet/workers       worker registry snapshot
 //	DELETE /fleet/workers/{id}  graceful worker deregistration
-//	GET    /healthz             liveness + queue/worker gauges
-//	GET    /metrics             Prometheus text metrics
-type Server struct {
-	c   *Coordinator
-	opt ServerOptions
-	mux *http.ServeMux
-}
-
-// NewServer wires the coordinator API routes over c.
-func NewServer(c *Coordinator, opt ServerOptions) *Server {
-	s := &Server{c: c, opt: opt.withDefaults(), mux: http.NewServeMux()}
-	s.mux.HandleFunc("POST /jobs", s.handleSubmit)
-	s.mux.HandleFunc("GET /jobs", s.handleList)
-	s.mux.HandleFunc("GET /jobs/{id}", s.handleStatus)
-	s.mux.HandleFunc("DELETE /jobs/{id}", s.handleCancel)
-	s.mux.HandleFunc("GET /jobs/{id}/events", s.handleEvents)
-	s.mux.HandleFunc("GET /jobs/{id}/report", s.handleReport)
-	s.mux.HandleFunc("GET /jobs/{id}/result.pl", s.handleResultPl)
-	s.mux.HandleFunc("GET /jobs/{id}/trace", s.handleTrace)
-	s.mux.HandleFunc("POST /fleet/register", s.handleRegister)
-	s.mux.HandleFunc("POST /fleet/heartbeat", s.handleHeartbeat)
-	s.mux.HandleFunc("GET /fleet/workers", s.handleWorkers)
-	s.mux.HandleFunc("DELETE /fleet/workers/{id}", s.handleDeregister)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+//
+// On the coordinator, GET /jobs/{id}/heatmaps lists no labels (heatmaps
+// are not proxied from workers) and GET /jobs/{id}/checkpoint is a JSON
+// 404 (fetched checkpoints are fleet-internal).
+func NewServer(c *Coordinator, opt serve.ServerOptions) *serve.Server[*Job] {
+	s := serve.NewServer(c, opt)
+	cp := controlPlane{c: c, api: s}
+	s.HandleFunc("POST /fleet/register", cp.handleRegister)
+	s.HandleFunc("POST /fleet/heartbeat", cp.handleHeartbeat)
+	s.HandleFunc("GET /fleet/workers", cp.handleWorkers)
+	s.HandleFunc("DELETE /fleet/workers/{id}", cp.handleDeregister)
 	return s
 }
 
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
+// controlPlane serves the /fleet/* routes.
+type controlPlane struct {
+	c   *Coordinator
+	api *serve.Server[*Job]
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-type errorBody struct {
-	Error      string `json:"error"`
-	QueueDepth int    `json:"queue_depth,omitempty"`
-	QueueCap   int    `json:"queue_cap,omitempty"`
-}
-
-// writeErr maps coordinator errors onto HTTP semantics, mirroring the
-// single-node placerd API exactly.
-func (s *Server) writeErr(w http.ResponseWriter, err error) {
-	code := http.StatusInternalServerError
-	body := errorBody{Error: err.Error()}
-	switch {
-	case errors.Is(err, ErrBadSpec):
-		code = http.StatusBadRequest
-	case errors.Is(err, ErrQueueFull):
-		w.Header().Set("Retry-After", strconv.Itoa(s.opt.RetryAfterSec))
-		code = http.StatusTooManyRequests
-		body.QueueDepth = s.c.QueueDepth()
-		body.QueueCap = s.c.QueueCap()
-	case errors.Is(err, ErrShuttingDown):
-		code = http.StatusServiceUnavailable
-	case errors.Is(err, ErrUnknownJob), errors.Is(err, ErrUnknownWorker):
-		code = http.StatusNotFound
-	}
-	writeJSON(w, code, body)
-}
-
-type submitResponse struct {
-	Status
-	Links map[string]string `json:"links"`
-}
-
-func jobLinks(id string) map[string]string {
-	base := "/jobs/" + id
-	return map[string]string{
-		"self":   base,
-		"events": base + "/events",
-		"report": base + "/report",
-		"result": base + "/result.pl",
-		"trace":  base + "/trace",
-	}
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes)
-	var spec serve.Spec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: err.Error()})
-			return
-		}
-		s.writeErr(w, fmt.Errorf("%w: %w", ErrBadSpec, err))
-		return
-	}
-	j, err := s.c.Submit(spec)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, submitResponse{Status: j.Status(), Links: jobLinks(j.ID)})
-}
-
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	jobs := s.c.List()
-	out := make([]Status, 0, len(jobs))
-	for _, j := range jobs {
-		out = append(out, j.Status())
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) job(w http.ResponseWriter, r *http.Request) (*Job, bool) {
-	j, err := s.c.Get(r.PathValue("id"))
-	if err != nil {
-		s.writeErr(w, err)
-		return nil, false
-	}
-	return j, true
-}
-
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if j, ok := s.job(w, r); ok {
-		writeJSON(w, http.StatusOK, submitResponse{Status: j.Status(), Links: jobLinks(j.ID)})
-	}
-}
-
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, err := s.c.Cancel(r.PathValue("id"))
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, j.Status())
-}
-
-// handleEvents streams the stitched per-job event log as SSE, exactly
-// like single-node placerd: full replay from ?from=<seq>, then live tail.
-// Because the coordinator re-sequences events from every assignment
-// attempt into one contiguous log, resuming after a reassignment needs no
-// client-side gap handling.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.job(w, r)
-	if !ok {
-		return
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: "streaming unsupported"})
-		return
-	}
-	from := 0
-	if q := r.URL.Query().Get("from"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 0 {
-			s.writeErr(w, fmt.Errorf("%w: bad from=%q", ErrBadSpec, q))
-			return
-		}
-		from = v
-	}
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	for {
-		evs, done, sig := j.Events(from)
-		for i := range evs {
-			data, err := json.Marshal(&evs[i])
-			if err != nil {
-				return
-			}
-			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", evs[i].Seq, evs[i].Type, data)
-		}
-		from += len(evs)
-		fl.Flush()
-		if done {
-			return
-		}
-		select {
-		case <-sig:
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-func (s *Server) serveArtifact(w http.ResponseWriter, r *http.Request, contentType string, get func(*Job) []byte, what string) {
-	j, ok := s.job(w, r)
-	if !ok {
-		return
-	}
-	data := get(j)
-	if data == nil {
-		writeJSON(w, http.StatusConflict, errorBody{Error: fmt.Sprintf("job %s has no %s yet (state %s)", j.ID, what, j.State())})
-		return
-	}
-	w.Header().Set("Content-Type", contentType)
-	w.Write(data)
-}
-
-func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	s.serveArtifact(w, r, "application/json", (*Job).Report, "report")
-}
-
-func (s *Server) handleResultPl(w http.ResponseWriter, r *http.Request) {
-	s.serveArtifact(w, r, "text/plain; charset=utf-8", (*Job).ResultPl, "placement result")
-}
-
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	s.serveArtifact(w, r, "application/json", (*Job).Trace, "trace")
-}
-
-func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
+// decode reads a bounded JSON control-plane request, answering 400 when
+// it does not parse.
+func (cp controlPlane) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		cp.api.WriteError(w, fmt.Errorf("%w: %w", serve.ErrBadSpec, err))
+		return false
+	}
+	return true
+}
+
+// fail answers ErrUnknownWorker with a 404, which tells the worker's
+// agent to register again under a fresh identity; every other error
+// takes the /jobs API's mapping.
+func (cp controlPlane) fail(w http.ResponseWriter, err error) {
+	if errors.Is(err, ErrUnknownWorker) {
+		serve.WriteJSON(w, http.StatusNotFound, serve.ErrorBody{Error: err.Error()})
+		return
+	}
+	cp.api.WriteError(w, err)
+}
+
+func (cp controlPlane) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req registerRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeErr(w, fmt.Errorf("%w: %w", ErrBadSpec, err))
+	if !cp.decode(w, r, &req) {
 		return
 	}
-	wk, err := s.c.Register(req.Addr, req.Capacity)
+	wk, err := cp.c.Register(req.Addr, req.Capacity)
 	if err != nil {
-		s.writeErr(w, err)
+		cp.fail(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, registerResponse{
+	serve.WriteJSON(w, http.StatusOK, registerResponse{
 		WorkerID:    wk.ID,
-		HeartbeatMS: s.c.opt.HeartbeatEvery.Milliseconds(),
-		LeaseMS:     s.c.opt.LeaseTTL.Milliseconds(),
+		HeartbeatMS: cp.c.opt.HeartbeatEvery.Milliseconds(),
+		LeaseMS:     cp.c.opt.LeaseTTL.Milliseconds(),
 	})
 }
 
-func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
+func (cp controlPlane) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req heartbeatRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeErr(w, fmt.Errorf("%w: %w", ErrBadSpec, err))
+	if !cp.decode(w, r, &req) {
 		return
 	}
-	if err := s.c.Heartbeat(req.WorkerID, req.Active); err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *Server) handleWorkers(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.c.Workers())
-}
-
-func (s *Server) handleDeregister(w http.ResponseWriter, r *http.Request) {
-	if err := s.c.Deregister(r.PathValue("id")); err != nil {
-		s.writeErr(w, err)
+	if err := cp.c.Heartbeat(req.WorkerID, req.Active); err != nil {
+		cp.fail(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	live := 0
-	for _, wk := range s.c.Workers() {
-		if wk.Live {
-			live++
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":       "ok",
-		"role":         "coordinator",
-		"queue_depth":  s.c.QueueDepth(),
-		"queue_cap":    s.c.QueueCap(),
-		"workers_live": live,
-	})
+func (cp controlPlane) handleWorkers(w http.ResponseWriter, r *http.Request) {
+	serve.WriteJSON(w, http.StatusOK, cp.c.Workers())
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.c.writeMetrics(w)
+func (cp controlPlane) handleDeregister(w http.ResponseWriter, r *http.Request) {
+	if err := cp.c.Deregister(r.PathValue("id")); err != nil {
+		cp.fail(w, err)
+		return
+	}
+	w.WriteHeader(http.StatusNoContent)
 }

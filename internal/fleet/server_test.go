@@ -19,7 +19,7 @@ import (
 func newCoordServer(t *testing.T, opt Options) (*Coordinator, *httptest.Server) {
 	t.Helper()
 	c := mustCoordinator(t, opt)
-	ts := httptest.NewServer(NewServer(c, ServerOptions{}))
+	ts := httptest.NewServer(NewServer(c, serve.ServerOptions{}))
 	t.Cleanup(ts.Close)
 	return c, ts
 }
@@ -172,7 +172,7 @@ func TestServerSSEFromReplay(t *testing.T) {
 	<-started
 	w1.stopHeartbeat()
 	waitState(t, j, serve.StateDone)
-	total := j.log.len()
+	total := j.log.Len()
 	if total < 6 {
 		t.Fatalf("stitched log has %d events, want ≥6 (two attempts)", total)
 	}
@@ -244,7 +244,7 @@ func TestServerQueueFullBody(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 without Retry-After")
 	}
-	var eb errorBody
+	var eb serve.ErrorBody
 	if err := json.Unmarshal(data, &eb); err != nil {
 		t.Fatalf("429 body: %v", err)
 	}

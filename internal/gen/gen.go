@@ -228,7 +228,9 @@ func (g *generator) run() (*db.Design, error) {
 	terms := g.makeTerminals(cfg.NumTerminals)
 
 	// Connectivity.
-	g.makeNets(movIdx, fixedIdx, terms)
+	if err := g.makeNets(movIdx, fixedIdx, terms); err != nil {
+		return nil, err
+	}
 
 	// Routing grid.
 	g.makeRoute(fixedIdx)
@@ -484,11 +486,18 @@ func (g *generator) netDegree() int {
 
 // makeNets wires the design: local nets inside index windows (and hence
 // mostly inside modules), global nets across modules, terminal nets, and
-// macro connections.
-func (g *generator) makeNets(movMacros, fixedMacros, terms []int) {
+// macro connections. Every member-draw loop needs distinct cells, so each
+// net's degree is first clamped to the number of distinct cells its draw
+// can reach (computed without touching the RNG). The clamp only binds
+// where the unclamped loop could never finish, so every design that
+// generated before it is unchanged.
+func (g *generator) makeNets(movMacros, fixedMacros, terms []int) error {
 	n := len(g.cells)
 	if n == 0 {
-		return
+		return nil
+	}
+	if n < 2 && len(terms) == 0 {
+		return fmt.Errorf("gen: a single standard cell with no terminals cannot form a 2-pin net")
 	}
 	targetPins := int(float64(n) * 4)
 	window := maxInt(8, int(g.cfg.LocalityWindow*float64(n)))
@@ -505,8 +514,10 @@ func (g *generator) makeNets(movMacros, fixedMacros, terms []int) {
 		globalCut := 1 - 0.08
 		switch {
 		case r < localCut:
-			// Local net around an anchor cell.
+			// Local net around an anchor cell, clamped to the cells inside
+			// the window (fewer near the ends of the cell list).
 			anchor := g.rng.Intn(n)
+			deg = min(deg, min(n-1, anchor+window)-max(0, anchor-window)+1)
 			for len(conns) < deg {
 				j := anchor + g.rng.Intn(2*window+1) - window
 				if j < 0 || j >= n || seen[j] {
@@ -514,12 +525,10 @@ func (g *generator) makeNets(movMacros, fixedMacros, terms []int) {
 				}
 				seen[j] = true
 				conns = append(conns, pinOn(g.cells[j]))
-				if len(seen) >= n {
-					break
-				}
 			}
 		case r < globalCut || len(terms) == 0:
 			// Global net: uniformly random members.
+			deg = min(deg, n)
 			for len(conns) < deg {
 				j := g.rng.Intn(n)
 				if seen[j] {
@@ -527,12 +536,10 @@ func (g *generator) makeNets(movMacros, fixedMacros, terms []int) {
 				}
 				seen[j] = true
 				conns = append(conns, pinOn(g.cells[j]))
-				if len(seen) >= n {
-					break
-				}
 			}
 		default:
 			// I/O net: a terminal plus random cells.
+			deg = min(deg, n+1)
 			conns = append(conns, db.Conn{Cell: terms[g.rng.Intn(len(terms))]})
 			for len(conns) < deg {
 				j := g.rng.Intn(n)
@@ -550,9 +557,9 @@ func (g *generator) makeNets(movMacros, fixedMacros, terms []int) {
 		}
 	}
 
-	// Every macro connects to a handful of nearby-index cells.
+	// Every macro connects to a handful of random cells.
 	for _, mi := range append(append([]int{}, movMacros...), fixedMacros...) {
-		deg := 3 + g.rng.Intn(4)
+		deg := min(3+g.rng.Intn(4), n)
 		conns := []db.Conn{g.macroConn(mi)}
 		seen := map[int]bool{}
 		for len(conns) < deg+1 {
@@ -566,6 +573,7 @@ func (g *generator) makeNets(movMacros, fixedMacros, terms []int) {
 		g.b.AddNet(fmt.Sprintf("n%d", netID), 1, conns...)
 		netID++
 	}
+	return nil
 }
 
 // macroConn returns a pin on a random location of the macro boundary

@@ -1,7 +1,10 @@
 package gen
 
 import (
+	"encoding/hex"
+	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/bookshelf"
 	"repro/internal/db"
@@ -235,5 +238,79 @@ func TestDefaultsApplied(t *testing.T) {
 	}
 	if len(d.Cells) == 0 || len(d.Rows) == 0 || d.Route == nil {
 		t.Error("defaulted config produced degenerate design")
+	}
+}
+
+// generateWithin runs Generate on its own goroutine and fails the test if
+// it has not returned by the deadline (a spinning member-draw loop would
+// otherwise hang the whole test binary).
+func generateWithin(t *testing.T, cfg Config, deadline time.Duration) (*db.Design, error) {
+	t.Helper()
+	type result struct {
+		d   *db.Design
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		d, err := Generate(cfg)
+		done <- result{d, err}
+	}()
+	select {
+	case r := <-done:
+		return r.d, r.err
+	case <-time.After(deadline):
+		t.Fatalf("Generate(%s, %d cells, seed %d) did not return within %v", cfg.Name, cfg.NumStdCells, cfg.Seed, deadline)
+		return nil, nil
+	}
+}
+
+// TestCongestedSmallTerminates: Congested(400, 1) draws local nets whose
+// degree exceeds the cells inside the index window near the ends of the
+// cell list; the draw must clamp rather than spin.
+func TestCongestedSmallTerminates(t *testing.T) {
+	d, err := generateWithin(t, Congested(400, 1), 10*time.Second)
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	if err := d.Validate(); err != nil {
+		t.Fatalf("generated design invalid: %v", err)
+	}
+}
+
+// TestUnwireableConfigErrors: one standard cell and no terminals cannot
+// form any 2-pin net, so generation must fail instead of looping.
+func TestUnwireableConfigErrors(t *testing.T) {
+	if _, err := generateWithin(t, Config{NumStdCells: 1}, 10*time.Second); err == nil {
+		t.Fatal("Generate with one cell and no terminals succeeded, want an error")
+	}
+	if _, err := generateWithin(t, Config{NumStdCells: 1, NumTerminals: 2}, 10*time.Second); err != nil {
+		t.Fatalf("one cell with terminals: %v", err)
+	}
+}
+
+// TestGeneratedFingerprintsPinned pins the canonical fingerprint of every
+// design the benchmarks, tests and placerd generate: a change to the
+// generator that moves any of them changes every downstream number.
+func TestGeneratedFingerprintsPinned(t *testing.T) {
+	want := map[string]string{
+		"sb-a/2000":      "a765bb06e05e90033ee136d04454e472634c80970a2a574841dacf745e8e7947",
+		"sb-b/5000":      "e1c5c07428fe1d3d1a7fc177e1c37bcd9fd1b484ff4a58a0bf5a3964cbcedd65",
+		"sb-c/10000":     "e37cad80cbfce5f76d1a3fa9884b5df5ec74a4043b3da733b707dcdd350d7a1c",
+		"sb-d/20000":     "16102658c7719950a622d0b98df5be6f53e8e018711207eb48c88a431c8cc74a",
+		"sb-e/40000":     "c131e3eba4bbe6ffed7812a726125ca50f816e94e9b58eae1d4b44a067c8098f",
+		"sb-a/200":       "9f6a762f939a789227099e4e221041c8dd43697663716b23e03571121b411a54",
+		"sb-b/500":       "36bda1144993cff15275d41e75deade860bc7ca6e8df0afaec9cab6d8d9968f0",
+		"sb-c/1000":      "220a6fb894c2817b79e5766802a8815b8a076f357d88c39967b4beb8369ee42e",
+		"congested/3000": "b4415353a11094855045ce2c5c73dcc98738d956d02d328701e4f63b92691799",
+		"congested/2000": "a29de7d152f8b9a27ebede2bc7e222d10d2d4f89a6a6272fed7ee5609c738247",
+	}
+	cfgs := append(Suite(), SmallSuite()...)
+	cfgs = append(cfgs, Congested(3000, 7), Congested(2000, 1))
+	for _, cfg := range cfgs {
+		key := fmt.Sprintf("%s/%d", cfg.Name, cfg.NumStdCells)
+		fp := MustGenerate(cfg).Fingerprint()
+		if got := hex.EncodeToString(fp[:]); got != want[key] {
+			t.Errorf("%s fingerprint = %s, want %s", key, got, want[key])
+		}
 	}
 }

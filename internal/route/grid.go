@@ -1,9 +1,9 @@
 // Package route is the global-routing substrate of the reproduction: a
 // g-cell grid with per-edge capacities derived from the design's .route
-// description (macro blockages included), a fast probabilistic congestion
-// estimator used inside the placer's routability loop, a PathFinder-style
-// negotiated global router used for evaluation, and the DAC-2012 contest
-// metrics (ACE, RC, scaled HPWL).
+// description (macro blockages included), a PathFinder-style negotiated
+// global router used for evaluation, and the DAC-2012 contest metrics
+// (ACE, RC, scaled HPWL). The fast congestion estimate the placer's
+// routability loop can use instead of routing lives in internal/estimate.
 //
 // The grid collapses routing layers into one horizontal and one vertical
 // capacity per edge, which is exactly the abstraction the contest

@@ -84,55 +84,6 @@ func TestBlockagePorosityKeepsSomeCapacity(t *testing.T) {
 	}
 }
 
-func TestRUDYBasics(t *testing.T) {
-	b := db.NewBuilder("r", geom.NewRect(0, 0, 100, 100))
-	a := b.AddStdCell("a", 2, 2)
-	c := b.AddStdCell("b", 2, 2)
-	b.AddNet("n", 1, b.CenterConn(a), b.CenterConn(c))
-	d := b.MustDesign()
-	d.Cells[a].Pos = geom.Point{X: 9, Y: 49}  // center (10,50)
-	d.Cells[c].Pos = geom.Point{X: 89, Y: 49} // center (90,50)
-	g := uniform(10, 10, 10)
-	g.EstimateRUDY(d)
-	// The net spans tiles 1..9 horizontally in row 5 (after widening to
-	// one tile height): edges between them should carry demand.
-	mid := g.HDem[g.HIdx(4, 5)]
-	if mid <= 0 {
-		t.Errorf("no demand on spanned edge")
-	}
-	// Demand far away must be zero.
-	if g.HDem[g.HIdx(4, 0)] != 0 {
-		t.Errorf("spurious demand far from net")
-	}
-	// Total horizontal demand ≈ tiles spanned × ~1 track.
-	var tot float64
-	for _, v := range g.HDem {
-		tot += v
-	}
-	if tot < 4 || tot > 12 {
-		t.Errorf("total H demand %v outside plausible range", tot)
-	}
-}
-
-func TestRUDYWeightScales(t *testing.T) {
-	b := db.NewBuilder("r", geom.NewRect(0, 0, 100, 100))
-	a := b.AddStdCell("a", 2, 2)
-	c := b.AddStdCell("b", 2, 2)
-	b.AddNet("n", 3, b.CenterConn(a), b.CenterConn(c))
-	d := b.MustDesign()
-	d.Cells[a].Pos = geom.Point{X: 9, Y: 49}
-	d.Cells[c].Pos = geom.Point{X: 89, Y: 49}
-	g := uniform(10, 10, 10)
-	g.EstimateRUDY(d)
-	w3 := g.HDem[g.HIdx(4, 5)]
-	d.Nets[0].Weight = 1
-	g.EstimateRUDY(d)
-	w1 := g.HDem[g.HIdx(4, 5)]
-	if math.Abs(w3-3*w1) > 1e-9 {
-		t.Errorf("weight scaling wrong: w3=%v w1=%v", w3, w1)
-	}
-}
-
 func TestPatternRouteLShape(t *testing.T) {
 	g := uniform(10, 10, 10)
 	r := NewRouter(g, RouterOptions{})

@@ -11,25 +11,26 @@ import (
 )
 
 // dedupKey derives the artifact-store key for a submission against the
-// manager's worker default.
+// config the manager would actually run: its -workers,
+// -congestion-source and -route-last-rounds defaults applied. Empty
+// defaults leave the config as submitted, so keys of daemons without
+// them are unchanged.
 func (m *Manager) dedupKey(d *db.Design, spec Spec) (string, error) {
-	return DedupKey(d, spec, m.opt.Workers)
+	return DedupKey(d, spec, m.effectiveConfig(spec))
 }
 
 // DedupKey derives the artifact-store key for a submission: the design's
 // canonical fingerprint plus everything about the spec that shapes the
-// result — the effective placer config (with defaultWorkers applied when
-// the spec leaves the worker count automatic, as placeJob would), the
+// result — cfg, the effective placer config (spec.Config with the
+// serving daemon's defaults applied, as placeJob would run it), the
 // evaluate flag (it adds routed metrics to the report) and the heatmap
 // flag (it adds an artifact). TimeoutMS and Checkpoint are deliberately
 // excluded: they change when and where a job runs, not what a completed
 // job produces. The fleet coordinator computes the same key so identical
-// submissions short-circuit fleet-wide, not just per worker.
-func DedupKey(d *db.Design, spec Spec, defaultWorkers int) (string, error) {
-	cfg := spec.Config
-	if cfg.Workers == 0 {
-		cfg.Workers = defaultWorkers
-	}
+// submissions short-circuit fleet-wide, not just per worker; it cannot
+// see its workers' congestion defaults, so it passes spec.Config with
+// only its own Workers default applied.
+func DedupKey(d *db.Design, spec Spec, cfg core.Config) (string, error) {
 	// Delta (ECO) jobs key separately from full placements of the same
 	// design: their result depends on the referenced base, and a windowed
 	// repair must never be served as the cached answer to a from-scratch
@@ -69,7 +70,7 @@ func (m *Manager) cachedJob(spec Spec, d *db.Design, arts map[string][]byte) (*J
 	j := &Job{
 		ID:     fmt.Sprintf("job-%06d", m.nextID),
 		Spec:   spec,
-		broker: newBroker(),
+		broker: NewBroker(),
 	}
 	j.state = StateDone
 	j.cached = true
@@ -105,8 +106,8 @@ func (m *Manager) cachedJob(spec Spec, d *db.Design, arts map[string][]byte) (*J
 		j.journal.saveArtifact(HeatmapsFile, arts[HeatmapsFile])
 		j.journal.saveArtifact(TraceFile, j.trace)
 	}
-	j.broker.publish(Event{Type: EventState, State: StateDone, Cached: true})
-	j.broker.closeStream()
+	j.broker.Publish(Event{Type: EventState, State: StateDone, Cached: true})
+	j.broker.Close()
 	if j.journal != nil {
 		j.journal.close()
 	}

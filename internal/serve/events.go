@@ -35,12 +35,14 @@ type Event struct {
 	Route  *obs.RouteRound `json:"route,omitempty"`
 }
 
-// broker is a per-job publish/subscribe hub with full history: events are
+// Broker is a per-job publish/subscribe hub with full history: events are
 // appended to an ordered log and subscribers follow the log by index, so
 // any number of SSE clients can attach at any time, replay from any
 // sequence number, and never miss or reorder an event. Publishing never
-// blocks on slow consumers — readers pull at their own pace.
-type broker struct {
+// blocks on slow consumers — readers pull at their own pace. The fleet
+// coordinator stitches the events of every assignment attempt of a job
+// into one Broker, so ?from= replay is gapless across reassignments.
+type Broker struct {
 	// persist, when non-nil, journals every published event. It is set
 	// before the first publish and called under mu, so the on-disk log
 	// order matches the in-memory log. Immutable afterwards.
@@ -49,23 +51,24 @@ type broker struct {
 	mu     sync.Mutex
 	events []Event
 	done   bool
-	// sig is closed (and replaced) on every publish and on closeStream —
+	// sig is closed (and replaced) on every publish and on Close —
 	// a broadcast that wakes all waiting subscribers. Waiting on a
 	// channel rather than a sync.Cond lets subscribers select against
 	// their client's disconnect at the same time.
 	sig chan struct{}
 }
 
-func newBroker() *broker {
-	return &broker{sig: make(chan struct{})}
+// NewBroker returns an empty, open event log.
+func NewBroker() *Broker {
+	return &Broker{sig: make(chan struct{})}
 }
 
 // newBrokerFrom preloads a broker with a recovered event log. Sequence
 // numbers are reassigned from the log position, so events published after
 // a restart continue exactly where the journal stopped and SSE ?from=
 // offsets stay valid across the restart.
-func newBrokerFrom(events []Event) *broker {
-	b := newBroker()
+func newBrokerFrom(events []Event) *Broker {
+	b := NewBroker()
 	for i := range events {
 		events[i].Seq = i
 	}
@@ -73,9 +76,9 @@ func newBrokerFrom(events []Event) *broker {
 	return b
 }
 
-// publish appends e to the log (assigning its Seq) and wakes subscribers.
-// Events published after closeStream are dropped.
-func (b *broker) publish(e Event) {
+// Publish appends e to the log (assigning its Seq) and wakes subscribers.
+// Events published after Close are dropped.
+func (b *Broker) Publish(e Event) {
 	b.mu.Lock()
 	if b.done {
 		b.mu.Unlock()
@@ -92,17 +95,17 @@ func (b *broker) publish(e Event) {
 }
 
 // publishObs converts a telemetry event into a stream event.
-func (b *broker) publishObs(e obs.Event) {
+func (b *Broker) publishObs(e obs.Event) {
 	switch {
 	case e.GP != nil:
-		b.publish(Event{Type: EventGP, GP: e.GP})
+		b.Publish(Event{Type: EventGP, GP: e.GP})
 	case e.Route != nil:
-		b.publish(Event{Type: EventRoute, Route: e.Route})
+		b.Publish(Event{Type: EventRoute, Route: e.Route})
 	}
 }
 
-// closeStream marks the log complete; subscribers drain and stop.
-func (b *broker) closeStream() {
+// Close marks the log complete; subscribers drain and stop.
+func (b *Broker) Close() {
 	b.mu.Lock()
 	if !b.done {
 		b.done = true
@@ -112,10 +115,10 @@ func (b *broker) closeStream() {
 	b.mu.Unlock()
 }
 
-// since returns the events from index `from` on, whether the stream is
+// Since returns the events from index `from` on, whether the stream is
 // complete, and a channel that is closed on the next publish (or close).
 // The returned slice aliases the log and must not be mutated.
-func (b *broker) since(from int) (evs []Event, done bool, sig <-chan struct{}) {
+func (b *Broker) Since(from int) (evs []Event, done bool, sig <-chan struct{}) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if from < 0 {
@@ -127,8 +130,8 @@ func (b *broker) since(from int) (evs []Event, done bool, sig <-chan struct{}) {
 	return evs, b.done, b.sig
 }
 
-// len returns the number of published events.
-func (b *broker) len() int {
+// Len returns the number of published events.
+func (b *Broker) Len() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return len(b.events)

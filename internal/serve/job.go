@@ -101,7 +101,7 @@ type Job struct {
 	// Spec is the submitted specification. Immutable.
 	Spec Spec
 
-	broker *broker
+	broker *Broker
 
 	// journal persists the job's lifecycle (nil without a state dir).
 	journal *jobJournal
@@ -193,6 +193,28 @@ type Status struct {
 	// Eco describes the incremental path of a delta job (absent for
 	// from-scratch jobs).
 	Eco *obs.EcoSummary `json:"eco,omitempty"`
+	// Worker and Attempts are fleet attribution, set by the fleet
+	// coordinator only: the worker currently (running) or last
+	// (terminal) owning the job, and the assignment attempts consumed
+	// (1 = never reassigned).
+	Worker   string `json:"worker,omitempty"`
+	Attempts int    `json:"attempts,omitempty"`
+}
+
+// SetTimes fills the start/finish timestamps and the run time (so far,
+// while the job runs) from a job's lifecycle times; zero times are unset.
+func (st *Status) SetTimes(started, finished time.Time) {
+	if !started.IsZero() {
+		st.Started = &started
+		end := finished
+		if end.IsZero() {
+			end = time.Now()
+		}
+		st.DurationMS = float64(end.Sub(started)) / float64(time.Millisecond)
+	}
+	if !finished.IsZero() {
+		st.Finished = &finished
+	}
 }
 
 // State returns the job's current lifecycle state.
@@ -218,7 +240,7 @@ func (j *Job) Status() Status {
 		State:            j.state,
 		Error:            j.errMsg,
 		Submitted:        j.submitted,
-		Events:           j.broker.len(),
+		Events:           j.broker.Len(),
 		Cached:           j.cached,
 		CongestionSource: j.congSource,
 		SwitchoverRound:  j.switchover,
@@ -226,19 +248,7 @@ func (j *Job) Status() Status {
 	if j.design != nil {
 		st.Design = j.design.Name
 	}
-	if !j.started.IsZero() {
-		t := j.started
-		st.Started = &t
-		end := j.finished
-		if end.IsZero() {
-			end = time.Now()
-		}
-		st.DurationMS = float64(end.Sub(j.started)) / float64(time.Millisecond)
-	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		st.Finished = &t
-	}
+	st.SetTimes(j.started, j.finished)
 	st.Quality = j.quality
 	st.Eco = j.eco
 	return st
@@ -287,9 +297,9 @@ func (j *Job) Trace() []byte {
 
 // Events exposes the job's progress stream: the events from seq `from`
 // on, whether the stream is complete, and a channel closed on the next
-// publish (see broker.since).
+// publish (see Broker.Since).
 func (j *Job) Events(from int) ([]Event, bool, <-chan struct{}) {
-	return j.broker.since(from)
+	return j.broker.Since(from)
 }
 
 // Resume returns the checkpoint the job should restart from: the one
@@ -350,7 +360,7 @@ func (j *Job) setRunning(cancel func()) bool {
 	j.started = time.Now()
 	j.cancel = cancel
 	j.mu.Unlock()
-	j.broker.publish(Event{Type: EventState, State: StateRunning})
+	j.broker.Publish(Event{Type: EventState, State: StateRunning})
 	return true
 }
 
@@ -368,8 +378,8 @@ func (j *Job) finish(state State, errMsg string) bool {
 	j.finished = time.Now()
 	j.cancel = nil
 	j.mu.Unlock()
-	j.broker.publish(Event{Type: EventState, State: state, Error: errMsg})
-	j.broker.closeStream()
+	j.broker.Publish(Event{Type: EventState, State: state, Error: errMsg})
+	j.broker.Close()
 	if j.journal != nil {
 		j.journal.close()
 	}

@@ -196,7 +196,7 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 	j := &Job{
 		ID:     fmt.Sprintf("job-%06d", m.nextID),
 		Spec:   spec,
-		broker: newBroker(),
+		broker: NewBroker(),
 	}
 	j.state = StateQueued
 	j.submitted = time.Now()
@@ -236,7 +236,7 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 			m.opt.Logger.Warn("journal spec write failed", "job", j.ID, "err", err)
 		}
 	}
-	j.broker.publish(Event{Type: EventState, State: StateQueued})
+	j.broker.Publish(Event{Type: EventState, State: StateQueued})
 	m.opt.Logger.Info("job submitted", "job", j.ID, "design", designName(d, spec))
 	return j, nil
 }
@@ -292,8 +292,15 @@ func (m *Manager) QueueDepth() int { return len(m.queue) }
 // QueueCap is the queue capacity (for metrics and Retry-After hints).
 func (m *Manager) QueueCap() int { return cap(m.queue) }
 
-// Running is the number of jobs currently executing.
-func (m *Manager) Running() int { return int(m.stats.running.Load()) }
+// Health is the /healthz body: liveness plus the queue gauges.
+func (m *Manager) Health() map[string]any {
+	return map[string]any{
+		"status":      "ok",
+		"queue_depth": m.QueueDepth(),
+		"queue_cap":   m.QueueCap(),
+		"running":     int(m.stats.running.Load()),
+	}
+}
 
 // Shutdown drains gracefully: no new submissions are accepted, queued
 // and running jobs are given until ctx's deadline to finish, then

@@ -68,8 +68,8 @@ var buildInfoLabels = sync.OnceValue(func() string {
 	return fmt.Sprintf("go_version=%q,revision=%q", buildinfo.GoVersion(), buildinfo.Revision())
 })
 
-// writeMetrics renders the Prometheus text exposition for the manager.
-func (m *Manager) writeMetrics(w io.Writer) {
+// WriteMetrics renders the Prometheus text exposition for the manager.
+func (m *Manager) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# HELP placerd_build_info Build metadata (constant 1).\n")
 	fmt.Fprintf(w, "# TYPE placerd_build_info gauge\n")
 	fmt.Fprintf(w, "placerd_build_info{%s} 1\n", buildInfoLabels())

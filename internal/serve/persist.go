@@ -233,7 +233,7 @@ func (m *Manager) recoverJob(id string) (j *Job, runnable bool, err error) {
 		if hb := readFileOrNil(filepath.Join(dir, HeatmapsFile)); hb != nil {
 			json.Unmarshal(hb, &j.heatmaps)
 		}
-		j.broker.closeStream()
+		j.broker.Close()
 		return j, false, nil
 	}
 

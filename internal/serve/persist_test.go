@@ -357,6 +357,55 @@ func TestDuplicateSubmissionServedFromStore(t *testing.T) {
 	}
 }
 
+// TestDedupKeyHonorsDaemonDefaults: the dedup key covers the config a job
+// actually runs, daemon-level congestion defaults included. A daemon
+// restarted with -congestion-source estimate must not answer with the
+// route-mode result cached before the restart, and a daemon without
+// defaults must still find that result (its keys did not move).
+func TestDedupKeyHonorsDaemonDefaults(t *testing.T) {
+	dir := t.TempDir()
+	m := mustManager(t, Options{StateDir: dir})
+	j1, err := m.Submit(persistSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, j1, StateDone, 60*time.Second)
+	shutdownNow(m)
+
+	m2 := mustManager(t, Options{StateDir: dir, CongestionSource: "estimate"})
+	j2, err := m2.Submit(persistSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := j2.Status(); st.Cached {
+		t.Fatalf("estimate-default daemon served the route-mode result as cached: %+v", st)
+	}
+	waitState(t, j2, StateDone, 60*time.Second)
+	var rep struct {
+		Config core.Config `json:"config"`
+	}
+	if err := json.Unmarshal(j2.Report(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Config.CongestionSource != "estimate" {
+		t.Errorf("report config congestion source = %q, want estimate", rep.Config.CongestionSource)
+	}
+	shutdownNow(m2)
+
+	m3 := mustManager(t, Options{StateDir: dir})
+	defer shutdownNow(m3)
+	j3, err := m3.Submit(persistSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := j3.Status(); !st.Cached {
+		t.Fatalf("default daemon missed the result cached before: %+v", st)
+	}
+	if !bytes.Equal(j3.Report(), j1.Report()) {
+		t.Error("default daemon's cached report differs from the original run's")
+	}
+}
+
 // TestStateDirLockedByLiveManager pins single-writer exclusion: two live
 // managers must not share a state directory.
 func TestStateDirLockedByLiveManager(t *testing.T) {

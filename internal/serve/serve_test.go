@@ -585,6 +585,34 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestSubmitGeneratedEdgeCaseAnswers: gen.Congested(400, 1) draws local
+// nets wider than the index window near the ends of the cell list; the
+// submission must still be answered promptly (it once spun forever in
+// the generator, wedging the handler and the server's shutdown).
+func TestSubmitGeneratedEdgeCaseAnswers(t *testing.T) {
+	m, ts := newTestServer(t, Options{})
+	cfg := gen.Congested(400, 1)
+	body, err := json.Marshal(Spec{Generate: &cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &http.Client{Timeout: 30 * time.Second}
+	resp, err := client.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /jobs: %v", err)
+	}
+	var sub submitResponse
+	err = json.NewDecoder(resp.Body).Decode(&sub)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted || err != nil {
+		t.Fatalf("POST /jobs = %d (%v), want 202", resp.StatusCode, err)
+	}
+	// Only the answer matters here; don't spend the cleanup on placing it.
+	if _, err := m.Cancel(sub.ID); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestAuxPathAllowlist(t *testing.T) {
 	m := mustManager(t, Options{AllowDir: t.TempDir()})
 	defer shutdownNow(m)

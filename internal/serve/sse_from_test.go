@@ -19,7 +19,7 @@ func terminalJob(t *testing.T, m *Manager) (string, int) {
 		t.Fatal(err)
 	}
 	waitTerminal(t, j)
-	return j.ID, j.broker.len()
+	return j.ID, j.broker.Len()
 }
 
 func waitTerminal(t *testing.T, j *Job) {
@@ -148,7 +148,7 @@ func TestQueueFullBody(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 without Retry-After header")
 	}
-	var eb errorBody
+	var eb ErrorBody
 	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
 		t.Fatal(err)
 	}
