@@ -44,11 +44,12 @@ test-store:
 	$(GO) test -race -run 'TestRestart|TestDuplicate|TestDedupKey|TestStateDir' ./internal/serve/
 
 # FUZZTIME-bounded run of every fuzz target: malformed Bookshelf input
-# must produce *ParseError, and any POST /jobs body must get a 202 or a
-# 4xx JSON error — never a 5xx, never a panic. Go allows one -fuzz
-# pattern per invocation, hence the loop. FuzzSubmit caps input
-# minimization: at the default 60s budget per new input, minimizing its
-# JSON bodies eats the whole smoke window.
+# must produce *ParseError, any POST /jobs body must get a 202 or a 4xx
+# JSON error — never a 5xx, never a panic — and the netlist differ must
+# match its string-keyed reference on any perturbed delta. Go allows one
+# -fuzz pattern per invocation, hence the loop. FuzzSubmit and
+# FuzzDiffDesigns cap input minimization: at the default 60s budget per
+# new input, minimizing eats the whole smoke window.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	@for t in FuzzReadAux FuzzReadNets FuzzReadScl FuzzReadRoute FuzzReadHier; do \
@@ -57,6 +58,8 @@ fuzz-smoke:
 	done
 	@echo "fuzz FuzzSubmit ($(FUZZTIME))"
 	$(GO) test -fuzz '^FuzzSubmit$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -run '^$$' ./internal/serve/
+	@echo "fuzz FuzzDiffDesigns ($(FUZZTIME))"
+	$(GO) test -fuzz '^FuzzDiffDesigns$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -run '^$$' ./internal/eco/
 
 # Table-2 style placement benchmarks (see DESIGN.md).
 bench:

@@ -3,6 +3,7 @@ package db
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/geom"
 )
@@ -50,25 +51,34 @@ type Design struct {
 	Modules []Module
 	Route   *RouteInfo
 
-	cellByName map[string]int
+	// cellByName is the lazily built name index. It is published
+	// atomically so concurrent readers of one shared design (delta jobs
+	// diffing against the same base) may all trigger the first build:
+	// each builds an equal map from the same cells and publishes it.
+	cellByName atomic.Pointer[map[string]int]
 }
 
-// CellIndex returns the index of the named cell, or -1.
+// CellIndex returns the index of the named cell, or -1. On duplicate
+// names the last cell wins. Safe for concurrent use as long as nobody
+// mutates the cells.
 func (d *Design) CellIndex(name string) int {
-	if d.cellByName == nil {
-		d.cellByName = make(map[string]int, len(d.Cells))
+	idx := d.cellByName.Load()
+	if idx == nil {
+		m := make(map[string]int, len(d.Cells))
 		for i := range d.Cells {
-			d.cellByName[d.Cells[i].Name] = i
+			m[d.Cells[i].Name] = i
 		}
+		idx = &m
+		d.cellByName.Store(idx)
 	}
-	if i, ok := d.cellByName[name]; ok {
+	if i, ok := (*idx)[name]; ok {
 		return i
 	}
 	return -1
 }
 
 // InvalidateNameIndex must be called after renaming or re-slicing Cells.
-func (d *Design) InvalidateNameIndex() { d.cellByName = nil }
+func (d *Design) InvalidateNameIndex() { d.cellByName.Store(nil) }
 
 // PinPos returns the absolute position of pin p, honoring the owning cell's
 // orientation.

@@ -1,8 +1,11 @@
 package db
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+
+	"repro/internal/geom"
 )
 
 // Validate checks the referential integrity of the design: every pin points
@@ -114,47 +117,80 @@ func (d *Design) Validate() error {
 // OverlapViolations counts pairs of space-occupying placed objects that
 // overlap, considering movable cells against each other and against fixed
 // macros. It sweeps over x with closes ordered before opens at equal
-// coordinates, so touching cells never count. Intended for tests and final
-// quality checks, not inner loops.
+// coordinates, so touching cells never count. The active set is a slice of
+// cached footprints; a pair whose y extents do not overlap is skipped
+// before the area test, which is exact because Rect.Overlaps is
+// OverlapArea > 0 and that product is never positive with a zero y
+// factor. Intended for tests and final quality checks, not inner loops.
 func (d *Design) OverlapViolations() int {
 	type ev struct {
 		x    float64
-		ci   int
+		ci   int32
 		open bool
 	}
-	var evs []ev
+	evs := make([]ev, 0, 2*len(d.Cells))
 	for i := range d.Cells {
 		c := &d.Cells[i]
 		if c.Kind == Terminal || c.Area() == 0 {
 			continue
 		}
 		r := c.Rect()
-		evs = append(evs, ev{r.Lo.X, i, true}, ev{r.Hi.X, i, false})
+		evs = append(evs, ev{r.Lo.X, int32(i), true}, ev{r.Hi.X, int32(i), false})
 	}
-	sort.Slice(evs, func(i, j int) bool {
-		a, b := evs[i], evs[j]
-		if a.x != b.x {
-			return a.x < b.x
+	slices.SortFunc(evs, func(a, b ev) int {
+		if c := cmp.Compare(a.x, b.x); c != 0 {
+			return c
 		}
 		if a.open != b.open {
-			return !a.open // closes first
+			if a.open {
+				return 1 // closes first
+			}
+			return -1
 		}
-		return a.ci < b.ci
+		return cmp.Compare(a.ci, b.ci)
 	})
-	active := map[int]bool{}
+	// active holds the open footprints; slot[ci] is ci's position in it
+	// (-1 when not open), so a close is an O(1) swap-remove — the count
+	// does not depend on the order of the set. A close can precede its
+	// own open only when Lo.X + W rounds back to Lo.X; like a set delete
+	// of an absent key, it is then a no-op.
+	type entry struct {
+		r  geom.Rect
+		ci int32
+	}
+	var active []entry
+	slot := make([]int32, len(d.Cells))
+	for i := range slot {
+		slot[i] = -1
+	}
 	count := 0
 	for _, e := range evs {
 		if !e.open {
-			delete(active, e.ci)
+			k := slot[e.ci]
+			if k < 0 {
+				continue
+			}
+			slot[e.ci] = -1
+			last := len(active) - 1
+			if k != int32(last) {
+				active[k] = active[last]
+				slot[active[k].ci] = k
+			}
+			active = active[:last]
 			continue
 		}
 		ri := d.Cells[e.ci].Rect()
-		for cj := range active {
-			if ri.Overlaps(d.Cells[cj].Rect()) {
+		for k := range active {
+			rj := &active[k].r
+			if ri.Hi.Y <= rj.Lo.Y || ri.Lo.Y >= rj.Hi.Y {
+				continue
+			}
+			if ri.Overlaps(*rj) {
 				count++
 			}
 		}
-		active[e.ci] = true
+		slot[e.ci] = int32(len(active))
+		active = append(active, entry{ri, e.ci})
 	}
 	return count
 }

@@ -16,6 +16,53 @@ func penaltyWithGradient(g *Grid, objs []Obj, x, y, gx, gy []float64) float64 {
 	return v
 }
 
+// DensityMap returns the exact-overlap density (demand / free bin area)
+// per bin: the unsmoothed reference the bell-shaped penalty is checked
+// against.
+func (g *Grid) DensityMap(objs []Obj, x, y []float64) []float64 {
+	nb := g.NX * g.NY
+	dem := make([]float64, nb)
+	for i := range objs {
+		r := geom.NewRect(x[i]-objs[i].HalfW, y[i]-objs[i].HalfH, x[i]+objs[i].HalfW, y[i]+objs[i].HalfH)
+		r = r.Intersect(g.Die)
+		if r.Empty() {
+			continue
+		}
+		scale := objs[i].Area / (4 * objs[i].HalfW * objs[i].HalfH)
+		x0, x1 := g.binRangeX(r.Lo.X, r.Hi.X)
+		y0, y1 := g.binRangeY(r.Lo.Y, r.Hi.Y)
+		for by := y0; by <= y1; by++ {
+			for bx := x0; bx <= x1; bx++ {
+				dem[by*g.NX+bx] += scale * g.binRect(bx, by).OverlapArea(r)
+			}
+		}
+	}
+	binArea := g.BinW * g.BinH
+	out := make([]float64, nb)
+	for b := 0; b < nb; b++ {
+		free := binArea - g.base[b]
+		if free <= 1e-12 {
+			out[b] = 0
+			if dem[b] > 0 {
+				out[b] = math.Inf(1)
+			}
+			continue
+		}
+		out[b] = dem[b] / free
+	}
+	return out
+}
+
+// TotalDeposited returns the sum of smoothed demand after the last Penalty
+// call; used by area-conservation tests.
+func (g *Grid) TotalDeposited() float64 {
+	var s float64
+	for _, d := range g.demand {
+		s += d
+	}
+	return s
+}
+
 func newTestGrid() *Grid {
 	return NewGrid(geom.NewRect(0, 0, 100, 100), 10, 10, 0.8)
 }

@@ -15,11 +15,18 @@ import (
 // for every call, so per-worker-count runs start from identical state.
 func scatteredDesign(t testing.TB) *db.Design {
 	t.Helper()
-	d := gen.MustGenerate(gen.Config{
+	return scattered(gen.Config{
 		Name: "det", Seed: 97, NumStdCells: 400, NumFixedMacros: 2,
 		NumMovableMacros: 1, NumModules: 3, NumFences: 2, NumTerminals: 8,
 		TargetUtil: 0.55,
 	})
+}
+
+// scattered generates cfg, spreads its movable cells over the die in a
+// fixed pattern (fenced cells pulled into their fence) and legalizes the
+// macros.
+func scattered(cfg gen.Config) *db.Design {
+	d := gen.MustGenerate(cfg)
 	for i, ci := range d.Movable() {
 		c := &d.Cells[ci]
 		c.SetCenter(geom.Point{

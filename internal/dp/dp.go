@@ -155,11 +155,13 @@ type optimizer struct {
 	anchors *incr.Anchors
 	states  []*workerState
 
-	cells      []int     // movable std cells, ascending index
-	cellRegion []int     // CellRegion per design cell, precomputed
-	cellW      []float64 // oriented cell dims, precomputed (orientation is
-	cellH      []float64 // fixed during detailed placement)
-	cellClass  []int32   // swap-compatibility class: same (W, H, region)
+	cells      []int       // movable std cells, ascending index
+	cellRegion []int       // CellRegion per design cell, precomputed
+	cellW      []float64   // oriented cell dims, precomputed (orientation is
+	cellH      []float64   // fixed during detailed placement)
+	cellClass  []int32     // swap-compatibility class: same (W, H, region)
+	classes    int         // number of swap classes
+	fenceRects []geom.Rect // every fence rectangle, flattened
 	perms      [][]int
 
 	trials int64
@@ -221,6 +223,10 @@ func newOptimizer(d *db.Design, opt Options) *optimizer {
 			classes[key] = id
 		}
 		o.cellClass[ci] = id
+	}
+	o.classes = len(classes)
+	for gi := range d.Regions {
+		o.fenceRects = append(o.fenceRects, d.Regions[gi].Rects...)
 	}
 	o.perms = permutations(opt.WindowSize)
 	o.cache = incr.New(d)
@@ -338,16 +344,21 @@ func (o *optimizer) optimalPoint(ci int) (geom.Point, bool) {
 
 // fenceOKAt verifies the cell footprint at pos against its fence (both
 // directions: members must be inside, outsiders outside every fence).
+// An outsider is tested against the flattened fence rectangles, and one
+// with no y overlap is skipped before the area test — exact, since
+// Rect.Overlaps is OverlapArea > 0 and a zero y factor never gives a
+// positive product.
 func (o *optimizer) fenceOKAt(ci int, pos geom.Point) bool {
 	r := geom.Rect{Lo: pos, Hi: geom.Point{X: pos.X + o.cellW[ci], Y: pos.Y + o.cellH[ci]}}
 	if rg := o.cellRegion[ci]; rg != db.NoRegion {
 		return o.d.Regions[rg].Contains(r)
 	}
-	for gi := range o.d.Regions {
-		for _, fr := range o.d.Regions[gi].Rects {
-			if fr.Overlaps(r) {
-				return false
-			}
+	for _, fr := range o.fenceRects {
+		if fr.Hi.Y <= r.Lo.Y || fr.Lo.Y >= r.Hi.Y {
+			continue
+		}
+		if fr.Overlaps(r) {
+			return false
 		}
 	}
 	return true

@@ -1,25 +1,42 @@
 package dp
 
 import (
+	"slices"
+
 	"repro/internal/db"
 	"repro/internal/geom"
 	"repro/internal/incr"
 )
 
 // bucketIndex is a reusable uniform-grid spatial index over cell
-// positions: the partner scan of global swap looks up the 3×3 bucket
-// neighbourhood around a cell's optimal point. Rebuilt per pass into the
-// same backing storage, so steady-state passes allocate nothing.
+// positions, grouped by swap class: the partner scan of global swap looks
+// up the same-class cells of the 3×3 bucket neighbourhood around a cell's
+// optimal point, and never visits another class's cells. The indexed
+// cells are kept sorted by (class, bucket, input order), so one class's
+// cells in the three buckets of a grid row form one contiguous span, in
+// the same bucket-then-input order a per-bucket scan would visit them.
+// Memory is O(cells + buckets + classes); rebuilt per pass into the same
+// backing storage, so steady-state passes allocate nothing.
 type bucketIndex struct {
-	origin  geom.Point
-	inv     float64
-	nx, ny  int
-	buckets [][]int
+	origin geom.Point
+	inv    float64
+	nx, ny int
+	// cells[classStart[c]:classStart[c+1]] are class c's cells and
+	// bucket holds each sorted cell's bucket number (ascending within a
+	// class).
+	cells      []int
+	bucket     []int32
+	classStart []int32
+	// Counting-sort scratch.
+	tmpCells  []int
+	tmpBucket []int32
+	count     []int32
 }
 
-// build re-indexes the given cells at their current positions on a grid
-// of the given bucket size.
-func (b *bucketIndex) build(d *db.Design, cells []int, size float64) {
+// build re-indexes the given cells (class[ci] in [0, classes)) at their
+// current positions on a grid of the given bucket size: a stable counting
+// sort by bucket, then a stable counting sort by class.
+func (b *bucketIndex) build(d *db.Design, cells []int, class []int32, classes int, size float64) {
 	if size <= 0 {
 		size = 1
 	}
@@ -27,17 +44,55 @@ func (b *bucketIndex) build(d *db.Design, cells []int, size float64) {
 	b.inv = 1 / size
 	b.nx = int(d.Die.W()*b.inv) + 1
 	b.ny = int(d.Die.H()*b.inv) + 1
-	n := b.nx * b.ny
-	if cap(b.buckets) < n {
-		b.buckets = append(b.buckets[:cap(b.buckets)], make([][]int, n-cap(b.buckets))...)
-	}
-	b.buckets = b.buckets[:n]
-	for i := range b.buckets {
-		b.buckets[i] = b.buckets[i][:0]
-	}
-	for _, ci := range cells {
+	nb := b.nx * b.ny
+	n := len(cells)
+	b.cells = slices.Grow(b.cells[:0], n)[:n]
+	b.bucket = slices.Grow(b.bucket[:0], n)[:n]
+	b.tmpCells = slices.Grow(b.tmpCells[:0], n)[:n]
+	b.tmpBucket = slices.Grow(b.tmpBucket[:0], n)[:n]
+	b.classStart = slices.Grow(b.classStart[:0], classes+1)[:classes+1]
+
+	// By bucket, into tmp.
+	count := b.counts(nb)
+	for k, ci := range cells {
 		bx, by := b.key(d.Cells[ci].Pos)
-		b.buckets[by*b.nx+bx] = append(b.buckets[by*b.nx+bx], ci)
+		bk := int32(by*b.nx + bx)
+		b.bucket[k] = bk
+		count[bk+1]++
+	}
+	prefix(count)
+	for k, ci := range cells {
+		bk := b.bucket[k]
+		b.tmpCells[count[bk]] = ci
+		b.tmpBucket[count[bk]] = bk
+		count[bk]++
+	}
+	// By class, back into cells; the bucket order survives within a class.
+	count = b.counts(classes)
+	for _, ci := range b.tmpCells {
+		count[class[ci]+1]++
+	}
+	prefix(count)
+	copy(b.classStart, count)
+	for k, ci := range b.tmpCells {
+		at := count[class[ci]]
+		b.cells[at] = ci
+		b.bucket[at] = b.tmpBucket[k]
+		count[class[ci]]++
+	}
+}
+
+// counts returns n+1 zeroed counters.
+func (b *bucketIndex) counts(n int) []int32 {
+	b.count = slices.Grow(b.count[:0], n+1)[:n+1]
+	clear(b.count)
+	return b.count
+}
+
+// prefix turns per-key counts shifted by one into start offsets.
+func prefix(count []int32) {
+	for i := 1; i < len(count); i++ {
+		count[i] += count[i-1]
 	}
 }
 
@@ -58,12 +113,20 @@ func (b *bucketIndex) key(p geom.Point) (int, int) {
 	return bx, by
 }
 
-// at returns the bucket's cells, or nil off-grid.
-func (b *bucketIndex) at(bx, by int) []int {
-	if bx < 0 || by < 0 || bx >= b.nx || by >= b.ny {
+// row returns the class's cells in buckets bx-1..bx+1 of grid row by (the
+// off-grid ones dropped), in bucket-then-input order; nil when the row is
+// off-grid.
+func (b *bucketIndex) row(class int32, bx, by int) []int {
+	if by < 0 || by >= b.ny {
 		return nil
 	}
-	return b.buckets[by*b.nx+bx]
+	lo := int32(by*b.nx + max(bx-1, 0))
+	hi := int32(by*b.nx + min(bx+1, b.nx-1))
+	s, e := b.classStart[class], b.classStart[class+1]
+	keys := b.bucket[s:e]
+	i, _ := slices.BinarySearch(keys, lo)
+	j, _ := slices.BinarySearch(keys[i:], hi+1)
+	return b.cells[int(s)+i : int(s)+i+j]
 }
 
 // swapProposal is one cell's chosen partner from the propose phase; a
@@ -82,7 +145,7 @@ func (o *optimizer) globalSwap() int {
 	if rowH <= 0 {
 		rowH = 1
 	}
-	o.idx.build(d, o.cells, rowH*o.opt.SwapRadius)
+	o.idx.build(d, o.cells, o.cellClass, o.classes, rowH*o.opt.SwapRadius)
 	o.buildAnchors()
 	if cap(o.swapProps) < len(o.cells) {
 		o.swapProps = make([]swapProposal, len(o.cells))
@@ -107,28 +170,26 @@ func (o *optimizer) globalSwap() int {
 		best, bestGain := -1, eps
 		mrCi := o.anchors.MaxGain(ci)
 		for dy := -1; dy <= 1; dy++ {
-			for dx := -1; dx <= 1; dx++ {
-				for _, cj := range o.idx.at(bx+dx, by+dy) {
-					if cj == ci || o.cellClass[cj] != class {
-						continue
-					}
-					ws.trials++
-					// Admissible prune: no single-cell move beats its
-					// MaxGain bound, so a net-disjoint pair whose combined
-					// bounds cannot top the best gain so far cannot win.
-					// (Shared-net pairs can beat the sum — e.g. a two-pin
-					// net between them collapses — so they are exempt.)
-					if !hasCong && mrCi+o.anchors.MaxGain(cj) <= bestGain &&
-						!o.anchors.SharesNet(ci, cj) {
-						continue
-					}
-					gain := -o.anchors.SwapDelta(ci, cj)
-					if hasCong {
-						gain -= o.congDelta(ci, d.Cells[cj].Pos) + o.congDelta(cj, c.Pos)
-					}
-					if gain > bestGain {
-						bestGain, best = gain, cj
-					}
+			for _, cj := range o.idx.row(class, bx, by+dy) {
+				if cj == ci {
+					continue
+				}
+				ws.trials++
+				// Admissible prune: no single-cell move beats its
+				// MaxGain bound, so a net-disjoint pair whose combined
+				// bounds cannot top the best gain so far cannot win.
+				// (Shared-net pairs can beat the sum — e.g. a two-pin
+				// net between them collapses — so they are exempt.)
+				if !hasCong && mrCi+o.anchors.MaxGain(cj) <= bestGain &&
+					!o.anchors.SharesNet(ci, cj) {
+					continue
+				}
+				gain := -o.anchors.SwapDelta(ci, cj)
+				if hasCong {
+					gain -= o.congDelta(ci, d.Cells[cj].Pos) + o.congDelta(cj, c.Pos)
+				}
+				if gain > bestGain {
+					bestGain, best = gain, cj
 				}
 			}
 		}

@@ -1,10 +1,9 @@
 package eco
 
 import (
-	"fmt"
-	"hash/fnv"
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/db"
 	"repro/internal/geom"
@@ -100,7 +99,7 @@ const DefaultMaxDirtyFrac = 0.25
 // DiffDesigns computes the full netlist diff between a base design and the
 // edited next design. Both designs are read-only; the result indexes
 // next's cells. The diff is deterministic: classifications come out in
-// design order, never map order.
+// design order, never map order. Concurrent calls may share one base.
 //
 // Net identity is resolved in two passes — untouched nets match by
 // connectivity signature (so net renames are invisible, like in the
@@ -110,24 +109,30 @@ const DefaultMaxDirtyFrac = 0.25
 // which is what keeps small edits' dirty sets small.
 func DiffDesigns(base, next *db.Design) *Diff {
 	df := &Diff{BaseCells: len(base.Cells)}
-	baseSigs := netSignatures(base)
-	nextSigs := netSignatures(next)
+	baseIDs, nextIDs := nameIDs(base, next)
+	var sc sigScratch
+	baseSigs := sc.netSignatures(base, baseIDs)
+	nextSigs := sc.netSignatures(next, nextIDs)
 	basePair, nextPair := df.pairNets(base, next, baseSigs, nextSigs)
-	baseCellSig := cellSignatures(base, basePair)
-	nextCellSig := cellSignatures(next, nextPair)
+	baseRegion, nextRegion := regionIDs(base, next)
+	baseCellSig := sc.cellSignatures(base, basePair, baseRegion)
+	nextCellSig := sc.cellSignatures(next, nextPair, nextRegion)
 
 	baseRowH := base.RowHeight()
 	nextRowH := next.RowHeight()
+	// present marks, by name id, the base names next still uses.
+	present := make([]bool, len(base.Cells))
 	for i := range next.Cells {
 		nc := &next.Cells[i]
-		bi := base.CellIndex(nc.Name)
-		if bi < 0 {
+		bi := nextIDs[i]
+		if bi >= len(base.Cells) {
 			df.Added = append(df.Added, i)
 			if kindForDiff(nc, nextRowH) == db.Macro {
 				df.MacroDelta = true
 			}
 			continue
 		}
+		present[bi] = true
 		bc := &base.Cells[bi]
 		same := baseCellSig[bi] == nextCellSig[i]
 		// Positions of non-movable cells are part of the problem
@@ -146,10 +151,10 @@ func DiffDesigns(base, next *db.Design) *Diff {
 		}
 	}
 	for i := range base.Cells {
-		bc := &base.Cells[i]
-		if next.CellIndex(bc.Name) >= 0 {
+		if present[baseIDs[i]] {
 			continue
 		}
+		bc := &base.Cells[i]
 		df.RemovedNames = append(df.RemovedNames, bc.Name)
 		df.RemovedRects = append(df.RemovedRects, bc.Rect())
 		if kindForDiff(bc, baseRowH) == db.Macro {
@@ -157,6 +162,56 @@ func DiffDesigns(base, next *db.Design) *Diff {
 		}
 	}
 	return df
+}
+
+// nameIDs numbers cell names across both designs. A name's id is its base
+// index (the last base cell of that name, as base.CellIndex resolves
+// duplicates); a next-only name gets len(base.Cells) plus the index of its
+// last next cell. Equal names get equal ids in both designs and distinct
+// names distinct ids, so a net key can carry the id in place of the name.
+// Only base's name index is consulted: next's is never built.
+func nameIDs(base, next *db.Design) (baseIDs, nextIDs []int) {
+	baseIDs = make([]int, len(base.Cells))
+	for i := range base.Cells {
+		baseIDs[i] = base.CellIndex(base.Cells[i].Name)
+	}
+	nextIDs = make([]int, len(next.Cells))
+	var nextOnly map[string]int
+	for i := range next.Cells {
+		name := next.Cells[i].Name
+		if nextIDs[i] = base.CellIndex(name); nextIDs[i] < 0 {
+			if nextOnly == nil {
+				nextOnly = make(map[string]int)
+			}
+			nextOnly[name] = len(base.Cells) + i
+		}
+	}
+	for i := range nextIDs {
+		if nextIDs[i] < 0 {
+			nextIDs[i] = nextOnly[next.Cells[i].Name]
+		}
+	}
+	return baseIDs, nextIDs
+}
+
+// regionIDs numbers fence region names across both designs: equal names
+// get equal ids, distinct names distinct ones, counted from 1 so that 0
+// means "no fence".
+func regionIDs(base, next *db.Design) (baseIDs, nextIDs []uint64) {
+	byName := make(map[string]uint64, len(base.Regions)+len(next.Regions))
+	number := func(d *db.Design) []uint64 {
+		out := make([]uint64, len(d.Regions))
+		for r := range d.Regions {
+			id, ok := byName[d.Regions[r].Name]
+			if !ok {
+				id = uint64(len(byName)) + 1
+				byName[d.Regions[r].Name] = id
+			}
+			out[r] = id
+		}
+		return out
+	}
+	return number(base), number(next)
 }
 
 // pairNets resolves net identity across the two designs and fills the
@@ -177,19 +232,24 @@ func (df *Diff) pairNets(base, next *db.Design, baseSigs, nextSigs []uint64) (ba
 		nextPair[n] = -1
 	}
 
-	// Pass 1: identical connectivity. Buckets keep base-index order and
-	// next nets scan in index order, so duplicate signatures pair
-	// deterministically.
-	bySig := make(map[uint64][]int, len(base.Nets))
-	for n := range base.Nets {
-		bySig[baseSigs[n]] = append(bySig[baseSigs[n]], n)
+	// Pass 1: identical connectivity. head[sig] is the lowest untaken
+	// base net with that signature and later ones chain through more[] in
+	// index order; next nets scan in index order, so duplicate
+	// signatures pair deterministically.
+	head := make(map[uint64]int, len(base.Nets))
+	more := make([]int, len(base.Nets))
+	for n := len(base.Nets) - 1; n >= 0; n-- {
+		more[n] = -1
+		if h, ok := head[baseSigs[n]]; ok {
+			more[n] = h
+		}
+		head[baseSigs[n]] = n
 	}
 	var pairID int64
 	var unresolved []int
 	for n := range next.Nets {
-		if bucket := bySig[nextSigs[n]]; len(bucket) > 0 {
-			b := bucket[0]
-			bySig[nextSigs[n]] = bucket[1:]
+		if b, ok := head[nextSigs[n]]; ok && b >= 0 {
+			head[nextSigs[n]] = more[b]
 			basePair[b], nextPair[n] = pairID, pairID
 			pairID++
 			df.NetsUnchanged++
@@ -200,7 +260,7 @@ func (df *Diff) pairNets(base, next *db.Design, baseSigs, nextSigs []uint64) (ba
 
 	// Pass 2: edited nets keep their name as identity (first base net
 	// wins on a duplicate name).
-	byName := make(map[string]int, len(base.Nets))
+	byName := make(map[string]int, len(base.Nets)-int(pairID))
 	for n := range base.Nets {
 		if basePair[n] >= 0 {
 			continue
@@ -308,83 +368,109 @@ func kindForDiff(c *db.Cell, rowH float64) db.CellKind {
 	return db.StdCell
 }
 
+// sigScratch holds the key buffers the signature passes sort in place,
+// reused from net to net and from design to design.
+type sigScratch struct {
+	keys []sigKey
+}
+
+// sigKey is one fixed-width sort key: (cell id, x bits, y bits) for a net
+// pin, (x bits, y bits, pair ID) for a cell pin.
+type sigKey [3]uint64
+
+func cmpSigKey(a, b sigKey) int {
+	for i := range a {
+		if c := cmp.Compare(a[i], b[i]); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
 // netSignatures hashes every net's canonical connectivity: weight (0
 // hashing like the default 1, as the fingerprint does) plus the sorted
-// (cell name, pin offset) list. Net names are excluded, so renaming a net
-// changes nothing; renaming a cell changes the signature of every net on
-// it.
-func netSignatures(d *db.Design) []uint64 {
+// (cell id, pin offset bits) keys, where ids come from nameIDs. Net names
+// are excluded, so renaming a net changes nothing; renaming a cell changes
+// its id and so the signature of every net on it.
+func (sc *sigScratch) netSignatures(d *db.Design, ids []int) []uint64 {
 	sigs := make([]uint64, len(d.Nets))
-	var parts []string
 	for n := range d.Nets {
 		net := &d.Nets[n]
-		parts = parts[:0]
+		keys := sc.keys[:0]
 		for _, p := range net.Pins {
 			pin := &d.Pins[p]
-			parts = append(parts, fmt.Sprintf("%s\x00%x\x00%x",
-				d.Cells[pin.Cell].Name,
-				math.Float64bits(canonF(pin.Offset.X)),
-				math.Float64bits(canonF(pin.Offset.Y))))
+			keys = append(keys, sigKey{uint64(ids[pin.Cell]), canonBits(pin.Offset.X), canonBits(pin.Offset.Y)})
 		}
-		sort.Strings(parts)
-		h := fnv.New64a()
+		slices.SortFunc(keys, cmpSigKey)
 		w := net.Weight
 		if w == 0 {
 			w = 1
 		}
-		fmt.Fprintf(h, "w%x|", math.Float64bits(w))
-		for _, s := range parts {
-			h.Write([]byte(s))
-			h.Write([]byte{'\n'})
-		}
-		sigs[n] = h.Sum64()
+		sigs[n] = foldKeys(fold(fold(0, math.Float64bits(w)), uint64(len(keys))), keys)
+		sc.keys = keys
 	}
 	return sigs
 }
 
 // cellSignatures hashes every cell's repair-relevant identity: canonical
-// kind, dimensions, fence (by region name, index-independent), and the
-// sorted multiset of (pin offset, owning-net pair ID). Position is
+// kind, dimensions, fence (by region name id, index-independent), and the
+// sorted multiset of (pin offset bits, owning-net pair ID). Position is
 // deliberately excluded for movable cells — that is the solution being
 // transferred, not the problem. The Fixed flag is excluded too: the full
 // flow pins movable macros after legalizing them, so a placed base always
 // disagrees with a fresh input on that bit; what fixedness implies is
 // covered by the position check DiffDesigns applies to non-movable cells.
-func cellSignatures(d *db.Design, pairIDs []int64) []uint64 {
+func (sc *sigScratch) cellSignatures(d *db.Design, pairIDs []int64, regionIDs []uint64) []uint64 {
 	sigs := make([]uint64, len(d.Cells))
 	rowH := d.RowHeight()
-	var parts []string
 	for i := range d.Cells {
 		c := &d.Cells[i]
-		h := fnv.New64a()
-		fmt.Fprintf(h, "k%d|w%x|h%x|",
-			kindForDiff(c, rowH),
-			math.Float64bits(canonF(c.BaseW)), math.Float64bits(canonF(c.BaseH)))
+		var region uint64
 		if ri := d.CellRegion(i); ri != db.NoRegion {
-			fmt.Fprintf(h, "r%s|", d.Regions[ri].Name)
+			region = regionIDs[ri]
 		}
-		parts = parts[:0]
+		h := fold(0, uint64(kindForDiff(c, rowH)))
+		h = fold(h, canonBits(c.BaseW))
+		h = fold(h, canonBits(c.BaseH))
+		h = fold(h, region)
+		keys := sc.keys[:0]
 		for _, p := range c.Pins {
 			pin := &d.Pins[p]
-			parts = append(parts, fmt.Sprintf("%x\x00%x\x00%x",
-				math.Float64bits(canonF(pin.Offset.X)),
-				math.Float64bits(canonF(pin.Offset.Y)),
-				pairIDs[pin.Net]))
+			keys = append(keys, sigKey{canonBits(pin.Offset.X), canonBits(pin.Offset.Y), uint64(pairIDs[pin.Net])})
 		}
-		sort.Strings(parts)
-		for _, s := range parts {
-			h.Write([]byte(s))
-			h.Write([]byte{'\n'})
-		}
-		sigs[i] = h.Sum64()
+		slices.SortFunc(keys, cmpSigKey)
+		sigs[i] = foldKeys(fold(h, uint64(len(keys))), keys)
+		sc.keys = keys
 	}
 	return sigs
 }
 
-// canonF canonicalizes -0.0 to 0.0, like the fingerprint's float encoder.
-func canonF(v float64) float64 {
+// foldKeys folds sorted keys into h word by word.
+func foldKeys(h uint64, keys []sigKey) uint64 {
+	for _, k := range keys {
+		h = fold(fold(fold(h, k[0]), k[1]), k[2])
+	}
+	return h
+}
+
+// fold mixes one word into a running 64-bit signature: xor, then the
+// splitmix64 finalizer. The finalizer is a bijection, so two word
+// sequences of equal length that differ in a single word never collide.
+func fold(h, w uint64) uint64 {
+	h ^= w
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	h ^= h >> 31
+	return h
+}
+
+// canonBits is the bit pattern of v with -0.0 folded onto 0.0, like the
+// fingerprint's float encoder.
+func canonBits(v float64) uint64 {
 	if v == 0 {
 		return 0
 	}
-	return v
+	return math.Float64bits(v)
 }

@@ -198,14 +198,6 @@ func (g *Grid) TileRect(tx, ty int) geom.Rect {
 	return geom.NewRect(x, y, x+g.TileW, y+g.TileH)
 }
 
-// TileCenter returns the center of tile (tx, ty).
-func (g *Grid) TileCenter(tx, ty int) geom.Point {
-	return geom.Point{
-		X: g.Origin.X + (float64(tx)+0.5)*g.TileW,
-		Y: g.Origin.Y + (float64(ty)+0.5)*g.TileH,
-	}
-}
-
 // HIdx returns the horizontal edge index for the edge (x,y)–(x+1,y).
 func (g *Grid) HIdx(x, y int) int { return y*(g.NX-1) + x }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/db"
-	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/steiner"
 )
@@ -542,24 +541,4 @@ func (r *Router) mazeRoute(a, b tile) []tile {
 		return r.patternRoute(a, b)
 	}
 	return path
-}
-
-// SegmentsForNet returns the routed tile paths of a net (for tests and
-// visualization).
-func (r *Router) SegmentsForNet(ni int) [][]tile {
-	var out [][]tile
-	for i := range r.segs {
-		if r.segs[i].net == ni {
-			out = append(out, r.segs[i].path)
-		}
-	}
-	return out
-}
-
-// PinTileSpan is a helper for tests: the Manhattan tile distance between
-// two points on the grid.
-func (g *Grid) PinTileSpan(p, q geom.Point) int {
-	ax, ay := g.TileOf(p)
-	bx, by := g.TileOf(q)
-	return abs(ax-bx) + abs(ay-by)
 }
