@@ -46,12 +46,14 @@ test-store:
 # FUZZTIME-bounded run of every fuzz target: malformed Bookshelf input
 # must produce *ParseError, any POST /jobs body must get a 202 or a 4xx
 # JSON error — never a 5xx, never a panic — the netlist differ must
-# match its string-keyed reference on any perturbed delta, and a
+# match its string-keyed reference on any perturbed delta, a
 # checkpoint body behind a valid CRC must decode to an error or a finite,
-# length-consistent state. Go allows one -fuzz pattern per invocation,
-# hence the loop. FuzzSubmit, FuzzDiffDesigns and FuzzDecode cap input
-# minimization: at the default 60s budget per new input, minimizing eats
-# the whole smoke window.
+# length-consistent state, and a wirelength value with a limit must be
+# the uncut value's bits unless that exceeds the limit. Go allows one
+# -fuzz pattern per invocation, hence the loop. FuzzSubmit,
+# FuzzDiffDesigns, FuzzDecode and FuzzValueCut cap input minimization:
+# at the default 60s budget per new input, minimizing eats the whole
+# smoke window.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	@for t in FuzzReadAux FuzzReadNets FuzzReadScl FuzzReadRoute FuzzReadHier; do \
@@ -64,6 +66,8 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzDiffDesigns$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -run '^$$' ./internal/eco/
 	@echo "fuzz FuzzDecode ($(FUZZTIME))"
 	$(GO) test -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -run '^$$' ./internal/snap/
+	@echo "fuzz FuzzValueCut ($(FUZZTIME))"
+	$(GO) test -fuzz '^FuzzValueCut$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -run '^$$' ./internal/wl/
 
 # Table-2 style placement benchmarks (see DESIGN.md).
 bench:

@@ -68,9 +68,12 @@ func recordConfig(cfg Config) *snap.RunConfig {
 // ValidateResumeConfig rejects a resume whose current configuration would
 // place a different problem than the checkpointed run: every recorded
 // result-shaping knob must match. Checkpoints without a config section
-// (schema v1) pass vacuously. Workers deliberately does not participate —
-// legalization, detailed placement and routing are byte-identical for
-// every worker count, so resuming on different parallelism is safe.
+// (schema v1) pass vacuously. Workers deliberately does not participate:
+// a resume at another worker count is legal, but it is not byte-identical
+// to an uninterrupted run. Legalization, detailed placement and routing
+// give the same bytes at every worker count, global placement does not —
+// its parallel sums reassociate — so a mid-GP checkpoint resumed at a
+// different count finishes a valid placement along a different path.
 func ValidateResumeConfig(cfg Config, st *snap.State) error {
 	if st == nil || st.Config == nil {
 		return nil

@@ -261,15 +261,17 @@ type Result struct {
 	// Overflow is the density overflow ratio at the end of GP.
 	Overflow float64
 
-	// Levels is the multilevel depth used; LambdaRounds, CGIters and
-	// ValueEvals are summed over levels and routability respreads.
-	// ValueEvals counts objective value evaluations (CG line-search
-	// trials plus one per CG run), so ValueEvals/CGIters is the line
-	// search's cost per iteration.
+	// Levels is the multilevel depth used; LambdaRounds, CGIters,
+	// ValueEvals and ValueCuts are summed over levels and routability
+	// respreads. ValueEvals counts objective value evaluations (CG
+	// line-search trials plus one per CG run), so ValueEvals/CGIters is
+	// the line search's cost per iteration. ValueCuts counts the
+	// evaluations that stopped early on a trial already proven rejected.
 	Levels       int
 	LambdaRounds int
 	CGIters      int
 	ValueEvals   int
+	ValueCuts    int
 
 	// Cong has one entry per routability iteration.
 	Cong []CongStat

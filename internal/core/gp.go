@@ -19,7 +19,10 @@ type gpStats struct {
 	CGIters      int
 	// ValueEvals counts objective value evaluations (line-search trials
 	// plus one per CG run); ValueEvals/CGIters is the line search's cost.
+	// ValueCuts counts the evaluations that stopped early because the
+	// trial was already proven rejected.
 	ValueEvals int
+	ValueCuts  int
 	Overflow   float64
 	// FinalLambda and FinalMu are the density and fence weights at
 	// termination; the routability loop resumes respreading from (a
@@ -49,6 +52,8 @@ type levelSolver struct {
 	// the density map that call left. λ, μ and the object areas never
 	// change inside one CG run, so those caches stay valid.
 	at []float64
+	// cuts counts Value calls that stopped before the wirelength.
+	cuts int
 
 	lambda, mu float64
 	// startLambda and startMu, when positive, seed the λ/μ escalation
@@ -131,12 +136,14 @@ func newLevelSolver(cfg Config, p *cluster.Problem, die geom.Rect, fixed []geom.
 		workers = cfg.Workers
 		grid.SetWorkers(workers)
 	}
+	// project keeps every valued center inside the die.
+	reach := math.Max(math.Max(math.Abs(die.Lo.X), math.Abs(die.Hi.X)), math.Max(math.Abs(die.Lo.Y), math.Abs(die.Hi.Y)))
 	nl := &wl.Netlist{Nets: p.Nets, NumObjs: n}
 	s := &levelSolver{
 		cfg: cfg, p: p, die: die, regions: regions,
 		grid: grid, ovGrid: ovGrid,
 		nl:     nl,
-		wlEval: wl.NewEvaluator(nl, model, gamma, workers),
+		wlEval: wl.NewEvaluator(nl, model, gamma, workers, reach),
 		objs:   make([]density.Obj, n),
 		gdx:    make([]float64, n), gdy: make([]float64, n),
 		gfx: make([]float64, n), gfy: make([]float64, n),
@@ -186,19 +193,74 @@ func (s *levelSolver) fencePenalty(x, y []float64, gx, gy []float64) float64 {
 // Value evaluates f = WL + λ·N + μ·F at the packed vector layout
 // ([x..., y...]) used by the CG solver. It implements nlopt.Objective
 // together with Gradient.
-func (s *levelSolver) Value(v []float64) float64 {
+//
+// The terms are computed cheapest first: the fence pull, the density
+// penalty, then the wirelength. After each, a value with every term not
+// yet computed at its lower bound — N, F ≥ 0 and WL ≥ −Slack — is
+// combined the way f is; rounding is monotone, so once that exceeds
+// limit so does f, and Value returns +Inf. The wirelength gets the
+// limit wlLimit derives. A value that is not cut is combined in the
+// same order as always, so it and the caches are unchanged.
+func (s *levelSolver) Value(v []float64, limit float64) float64 {
 	s.at = v
 	n := s.p.NumObjs()
 	x, y := v[:n], v[n:]
-	f := s.wlEval.Value(x, y)
+	wlMin := -s.wlEval.Slack()
+	var dens, fence float64
+	if s.mu > 0 {
+		fence = s.mu * s.fencePenalty(x, y, nil, nil)
+		if s.combine(wlMin, 0, fence) > limit {
+			s.cuts++
+			return math.Inf(1)
+		}
+	}
 	if s.lambda > 0 {
-		f += s.lambda * s.grid.Penalty(s.objs, x, y)
+		dens = s.lambda * s.grid.Penalty(s.objs, x, y)
+		if s.combine(wlMin, dens, fence) > limit {
+			s.cuts++
+			return math.Inf(1)
+		}
+	}
+	return s.combine(s.wlEval.Value(x, y, s.wlLimit(limit, dens, fence)), dens, fence)
+}
+
+// combine returns f from its weighted terms, in the one order f is
+// summed in: (WL + λ·N) + μ·F, skipping a term whose weight is 0.
+func (s *levelSolver) combine(wl, dens, fence float64) float64 {
+	f := wl
+	if s.lambda > 0 {
+		f += dens
 	}
 	if s.mu > 0 {
-		f += s.mu * s.fencePenalty(x, y, nil, nil)
+		f += fence
 	}
 	return f
 }
+
+// wlLimit returns a wirelength limit for Value's limit: any wirelength
+// above it makes combine exceed limit. combine is monotone in its first
+// argument, so the search steps up from the estimate until combine
+// crosses limit, and the limit is the float just below that point. It
+// returns +Inf, which never cuts, for a +Inf or NaN limit, and when no
+// wirelength makes combine cross limit (a NaN term).
+func (s *levelSolver) wlLimit(limit, dens, fence float64) float64 {
+	if !(limit < math.Inf(1)) {
+		return math.Inf(1)
+	}
+	t := limit - dens - fence
+	step := math.Max((math.Abs(limit)+dens+fence)*0x1p-52, math.SmallestNonzeroFloat64)
+	for range 64 {
+		if s.combine(t, dens, fence) > limit {
+			return math.Nextafter(t, math.Inf(-1))
+		}
+		t += step
+		step *= 2
+	}
+	return math.Inf(1)
+}
+
+// valueCuts returns how many Value calls so far stopped early.
+func (s *levelSolver) valueCuts() int { return s.cuts + s.wlEval.Cuts() }
 
 // Gradient writes ∇f at the point of the last Value call into grad,
 // which arrives zeroed.
@@ -243,7 +305,7 @@ func (s *levelSolver) initWeights(v []float64) {
 	x, y := v[:n], v[n:]
 	gwx := make([]float64, n)
 	gwy := make([]float64, n)
-	s.wlEval.Value(x, y)
+	s.wlEval.Value(x, y, math.Inf(1))
 	s.wlEval.Gradient(gwx, gwy)
 	wlG := gradL1(gwx, gwy) + 1e-12
 
@@ -368,6 +430,7 @@ func (s *levelSolver) solve(ctx context.Context, trace *Trace) gpStats {
 			// real relief work as convergence.
 			relTol = 0
 		}
+		cuts := s.valueCuts()
 		res := nlopt.CG(s, v, nlopt.Options{
 			MaxIter:  s.cfg.GPIterPerRound,
 			GradTol:  1e-9,
@@ -377,8 +440,10 @@ func (s *levelSolver) solve(ctx context.Context, trace *Trace) gpStats {
 			OnIter:   onIter,
 			Stop:     stop,
 		})
+		cuts = s.valueCuts() - cuts
 		stats.CGIters += res.Iters
 		stats.ValueEvals += res.ValueEvals
+		stats.ValueCuts += cuts
 		iterBase += res.Iters
 		stats.Overflow = s.ovGrid.Overflow(s.objs, v[:n], v[n:])
 		fenced := s.maxFenceDist(v[:n], v[n:])
@@ -393,6 +458,7 @@ func (s *levelSolver) solve(ctx context.Context, trace *Trace) gpStats {
 		if rsp != nil {
 			rsp.Add("cg_iters", int64(res.Iters))
 			rsp.Add("value_evals", int64(res.ValueEvals))
+			rsp.Add("value_cuts", int64(cuts))
 			rsp.End()
 		}
 		if s.rec.Enabled() {

@@ -72,10 +72,11 @@ type resultSnapshot struct {
 }
 
 // TestValueEvalsReported checks the line-search cost counters: every GP
-// round and level span carries value_evals next to cg_iters, each CG run
-// values its start point plus at least one trial per iteration that
-// reached the line search (all but possibly the last), and
-// Result.ValueEvals sums the main GP levels and the routability
+// round and level span carries value_evals and value_cuts next to
+// cg_iters, each CG run values its start point plus at least one trial
+// per iteration that reached the line search (all but possibly the
+// last), no run cuts more values than it makes, and Result.ValueEvals
+// and Result.ValueCuts sum the main GP levels and the routability
 // respreads.
 func TestValueEvalsReported(t *testing.T) {
 	d := gen.MustGenerate(smallCfg())
@@ -84,13 +85,17 @@ func TestValueEvalsReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sum int64
+	var sum, cutSum int64
 	checkRound := func(r *obs.SpanRecord) {
-		iters, evals := r.Counters["cg_iters"], r.Counters["value_evals"]
+		iters, evals, cuts := r.Counters["cg_iters"], r.Counters["value_evals"], r.Counters["value_cuts"]
 		if evals < 1 || evals < iters {
 			t.Errorf("%s: %d value evaluations for %d CG iterations", r.Name, evals, iters)
 		}
+		if cuts < 0 || cuts > evals {
+			t.Errorf("%s: %d value cuts for %d value evaluations", r.Name, cuts, evals)
+		}
 		sum += evals
+		cutSum += cuts
 	}
 	levels := 0
 	for _, s := range rec.BuildReport().Spans {
@@ -98,13 +103,17 @@ func TestValueEvalsReported(t *testing.T) {
 		case "gp":
 			for _, lv := range s.Children {
 				levels++
-				var rounds int64
+				var rounds, roundCuts int64
 				for _, r := range lv.Children {
 					checkRound(r)
 					rounds += r.Counters["value_evals"]
+					roundCuts += r.Counters["value_cuts"]
 				}
 				if lv.Counters["value_evals"] != rounds {
 					t.Errorf("%s: value_evals %d, its rounds sum to %d", lv.Name, lv.Counters["value_evals"], rounds)
+				}
+				if lv.Counters["value_cuts"] != roundCuts {
+					t.Errorf("%s: value_cuts %d, its rounds sum to %d", lv.Name, lv.Counters["value_cuts"], roundCuts)
 				}
 			}
 		case "routability":
@@ -124,6 +133,12 @@ func TestValueEvalsReported(t *testing.T) {
 	}
 	if int64(res.ValueEvals) != sum {
 		t.Errorf("Result.ValueEvals = %d, spans sum to %d", res.ValueEvals, sum)
+	}
+	if int64(res.ValueCuts) != cutSum {
+		t.Errorf("Result.ValueCuts = %d, spans sum to %d", res.ValueCuts, cutSum)
+	}
+	if res.ValueCuts == 0 {
+		t.Error("no value evaluation stopped early")
 	}
 	if res.ValueEvals <= res.CGIters {
 		t.Errorf("ValueEvals %d ≤ CGIters %d", res.ValueEvals, res.CGIters)

@@ -133,11 +133,13 @@ func (pl *Placer) PlaceContext(ctx context.Context, d *db.Design) (Result, error
 			s.span.Add("lambda_rounds", int64(st.LambdaRounds))
 			s.span.Add("cg_iters", int64(st.CGIters))
 			s.span.Add("value_evals", int64(st.ValueEvals))
+			s.span.Add("value_cuts", int64(st.ValueCuts))
 			s.span.End()
 		}
 		res.LambdaRounds += st.LambdaRounds
 		res.CGIters += st.CGIters
 		res.ValueEvals += st.ValueEvals
+		res.ValueCuts += st.ValueCuts
 		res.Overflow = st.Overflow
 		lastLambda = st.FinalLambda
 		lastMu = st.FinalMu
@@ -156,7 +158,7 @@ func (pl *Placer) PlaceContext(ctx context.Context, d *db.Design) (Result, error
 	res.HPWLGlobal = d.HPWL()
 	rec.Log().Debug("global placement done",
 		"levels", res.Levels, "lambda_rounds", res.LambdaRounds,
-		"cg_iters", res.CGIters, "value_evals", res.ValueEvals,
+		"cg_iters", res.CGIters, "value_evals", res.ValueEvals, "value_cuts", res.ValueCuts,
 		"overflow", res.Overflow, "hpwl", res.HPWLGlobal)
 
 	// ---- Routability loop -------------------------------------------
@@ -432,6 +434,7 @@ func (pl *Placer) routabilityLoop(ctx context.Context, d *db.Design, prob *clust
 		res.LambdaRounds += st.LambdaRounds
 		res.CGIters += st.CGIters
 		res.ValueEvals += st.ValueEvals
+		res.ValueCuts += st.ValueCuts
 		res.Overflow = st.Overflow
 		writeBack(d, prob, pm)
 		iterSp.End()

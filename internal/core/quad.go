@@ -35,13 +35,14 @@ func quadInit(p *cluster.Problem, die geom.Rect) {
 }
 
 // starObjective is the quadratic star model as an nlopt.Objective. The
-// model is cheap, so Gradient re-evaluates at the point Value kept.
+// model is cheap, so Gradient re-evaluates at the point Value kept, and
+// Value ignores its limit.
 type starObjective struct {
 	p  *cluster.Problem
 	at []float64
 }
 
-func (o *starObjective) Value(v []float64) float64 {
+func (o *starObjective) Value(v []float64, _ float64) float64 {
 	o.at = v
 	return o.eval(v, nil)
 }

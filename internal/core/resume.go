@@ -146,11 +146,13 @@ func (pl *Placer) PlaceFromCheckpoint(ctx context.Context, d *db.Design, st *sna
 			s.span.Add("lambda_rounds", int64(gst.LambdaRounds))
 			s.span.Add("cg_iters", int64(gst.CGIters))
 			s.span.Add("value_evals", int64(gst.ValueEvals))
+			s.span.Add("value_cuts", int64(gst.ValueCuts))
 			s.span.End()
 		}
 		res.LambdaRounds = st.Round + gst.LambdaRounds
 		res.CGIters = gst.CGIters
 		res.ValueEvals = gst.ValueEvals
+		res.ValueCuts = gst.ValueCuts
 		res.Overflow = gst.Overflow
 		lastLambda = gst.FinalLambda
 		lastMu = gst.FinalMu

@@ -19,9 +19,19 @@ import (
 // evaluation, and an objective may keep a reference to v and cache
 // whatever its value pass computed (exponentials, density maps) to form
 // the gradient from. No vector-equality cache key is needed.
+//
+// Value's limit is the most CG can accept: +Inf for a run's start point,
+// and the Armijo bound f(vₖ) + c·α·∇f(vₖ)·d for a line-search trial,
+// which CG accepts exactly when the value is ≤ the bound. An objective
+// may stop valuing a trial once it has proven f(v) > limit. CG asks for
+// a gradient only after a Value call whose result was ≤ its limit, so
+// an objective that stops early only on such proof always has its
+// caches complete when Gradient comes.
 type Objective interface {
-	// Value returns f(v).
-	Value(v []float64) float64
+	// Value returns f(v) bit for bit when f(v) ≤ limit. Otherwise it
+	// may return any value that is not ≤ limit: f(v) itself, or +Inf
+	// when it stopped early.
+	Value(v []float64, limit float64) float64
 	// Gradient writes ∇f at the point of the most recent Value call into
 	// grad, which arrives zeroed.
 	Gradient(grad []float64)
@@ -140,7 +150,7 @@ func CG(f Objective, v []float64, opt Options) Result {
 	dir := make([]float64, n)
 	trial := make([]float64, n)
 
-	fv := f.Value(v)
+	fv := f.Value(v, math.Inf(1))
 	res.ValueEvals++
 	f.Gradient(grad)
 	for i := range dir {
@@ -190,9 +200,10 @@ func CG(f Objective, v []float64, opt Options) Result {
 			if opt.Project != nil {
 				opt.Project(trial)
 			}
-			fNew = f.Value(trial)
+			limit := fv + opt.ArmijoC*alpha*dd
+			fNew = f.Value(trial, limit)
 			res.ValueEvals++
-			if fNew <= fv+opt.ArmijoC*alpha*dd {
+			if fNew <= limit {
 				accepted = true
 				break
 			}

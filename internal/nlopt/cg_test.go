@@ -12,8 +12,8 @@ type fn struct {
 	at []float64
 }
 
-func (o *fn) Value(v []float64) float64 { o.at = v; return o.f(v, nil) }
-func (o *fn) Gradient(grad []float64)   { o.f(o.at, grad) }
+func (o *fn) Value(v []float64, _ float64) float64 { o.at = v; return o.f(v, nil) }
+func (o *fn) Gradient(grad []float64)              { o.f(o.at, grad) }
 
 func objective(f func(v, grad []float64) float64) *fn { return &fn{f: f} }
 
@@ -206,12 +206,12 @@ type recorder struct {
 	grads    int
 }
 
-func (r *recorder) Value(v []float64) float64 {
+func (r *recorder) Value(v []float64, limit float64) float64 {
 	r.values++
 	r.at = v
 	r.valued = append(r.valued[:0], v...)
 	r.fresh = true
-	return r.inner.Value(v)
+	return r.inner.Value(v, limit)
 }
 
 func (r *recorder) Gradient(grad []float64) {
@@ -278,6 +278,93 @@ func TestGradientFollowsValueAtSamePoint(t *testing.T) {
 	}
 }
 
+// cutter honors Value's limit as aggressively as the contract allows:
+// every value above the limit comes back as +Inf.
+type cutter struct {
+	inner Objective
+	cuts  int
+}
+
+func (c *cutter) Value(v []float64, limit float64) float64 {
+	f := c.inner.Value(v, math.Inf(1))
+	if f > limit {
+		c.cuts++
+		return math.Inf(1)
+	}
+	return f
+}
+func (c *cutter) Gradient(grad []float64) { c.inner.Gradient(grad) }
+
+// TestLimitDoesNotSteer runs CG on objectives that honor Value's limit
+// and on the same objectives ignoring it: every iterate, the Result and
+// the value count must be bitwise equal. The line search may only use a
+// trial's value to accept or reject it.
+func TestLimitDoesNotSteer(t *testing.T) {
+	rosen := func(v []float64, grad []float64) float64 {
+		x, y := v[0], v[1]
+		a := 1 - x
+		b := y - x*x
+		if grad != nil {
+			grad[0] += -2*a - 400*x*b
+			grad[1] += 200 * b
+		}
+		return a*a + 100*b*b
+	}
+	clampY := func(v []float64) {
+		if v[1] > 1.5 {
+			v[1] = 1.5
+		}
+	}
+	cases := []struct {
+		name  string
+		f     func() Objective
+		start []float64
+		opt   Options
+	}{
+		{"rosenbrock", func() Objective { return objective(rosen) }, []float64{-1.2, 1},
+			Options{MaxIter: 400, StepInit: 0.5, Project: clampY}},
+		{"ill-conditioned", func() Objective { return quadratic([]float64{1, 100, 10000}, []float64{1, 2, 3}) },
+			[]float64{-5, 5, -5}, Options{MaxIter: 300, GradTol: 1e-8, StepInit: 4, RelTol: 1e-9}},
+	}
+	for _, tc := range cases {
+		run := func(f Objective) ([]float64, []uint64, Result) {
+			v := append([]float64(nil), tc.start...)
+			var trace []uint64
+			opt := tc.opt
+			opt.OnIter = func(_ int, fv float64) {
+				trace = append(trace, math.Float64bits(fv))
+				for _, x := range v {
+					trace = append(trace, math.Float64bits(x))
+				}
+			}
+			return v, trace, CG(f, v, opt)
+		}
+		c := &cutter{inner: tc.f()}
+		vCut, traceCut, resCut := run(c)
+		vFull, traceFull, resFull := run(tc.f())
+		if c.cuts == 0 {
+			t.Fatalf("%s: no trial was rejected; the case does not exercise the limit", tc.name)
+		}
+		if len(traceCut) != len(traceFull) {
+			t.Fatalf("%s: %d iterate words with the limit honored, %d ignored", tc.name, len(traceCut), len(traceFull))
+		}
+		for i := range traceCut {
+			if traceCut[i] != traceFull[i] {
+				t.Fatalf("%s: iterate word %d differs: %x vs %x", tc.name, i, traceCut[i], traceFull[i])
+			}
+		}
+		for i := range vCut {
+			if math.Float64bits(vCut[i]) != math.Float64bits(vFull[i]) {
+				t.Errorf("%s: final v[%d] = %v honored, %v ignored", tc.name, i, vCut[i], vFull[i])
+			}
+		}
+		if math.Float64bits(resCut.Value) != math.Float64bits(resFull.Value) || resCut.Iters != resFull.Iters ||
+			resCut.ValueEvals != resFull.ValueEvals || resCut.Converged != resFull.Converged {
+			t.Errorf("%s: result %+v honored, %+v ignored", tc.name, resCut, resFull)
+		}
+	}
+}
+
 // TestStepBudgetSchedule pins the line search's step budget: it starts at
 // StepInit, doubles after every accepted iteration up to 16×StepInit from
 // its own previous value (not from the step the backtracking accepted),
@@ -337,8 +424,11 @@ type probe struct {
 	onValue func(v []float64)
 }
 
-func (p *probe) Value(v []float64) float64 { p.onValue(v); return p.inner.Value(v) }
-func (p *probe) Gradient(grad []float64)   { p.inner.Gradient(grad) }
+func (p *probe) Value(v []float64, limit float64) float64 {
+	p.onValue(v)
+	return p.inner.Value(v, limit)
+}
+func (p *probe) Gradient(grad []float64) { p.inner.Gradient(grad) }
 
 // An objective that overflows — an infinite value, or a NaN hidden in
 // one gradient entry — stops CG at once with the iterate untouched:

@@ -2,6 +2,7 @@ package wl
 
 import (
 	"math"
+	"sync/atomic"
 
 	"repro/internal/par"
 )
@@ -30,6 +31,9 @@ import (
 // are deterministic for a fixed worker count; across worker counts they
 // differ only by floating-point reassociation.
 //
+// Value takes a limit and stops summing once the partial sum proves the
+// total exceeds it (see Value and Slack).
+//
 // The evaluator snapshots the netlist (weights included): build a new one
 // when the netlist changes.
 type Evaluator struct {
@@ -37,6 +41,10 @@ type Evaluator struct {
 	gamma   float64
 	workers int
 	numObjs int
+	// slack bounds how far the terms not yet summed, and the additions
+	// still to come, can pull any partial sum down (see Slack).
+	slack float64
+	cuts  int
 
 	// Net k owns pins start[k]:start[k+1].
 	start  []int32
@@ -69,8 +77,10 @@ type netSums struct {
 
 // NewEvaluator flattens nl for model m with smoothing parameter gamma.
 // workers ≤ 0 selects the shared automatic policy (par.Workers); netlists
-// with fewer than 4 nets per worker evaluate serially.
-func NewEvaluator(nl *Netlist, m Model, gamma float64, workers int) *Evaluator {
+// with fewer than 4 nets per worker evaluate serially. reach bounds
+// |x[i]| and |y[i]| at every point Value is given a finite limit for;
+// +Inf turns the early stop off.
+func NewEvaluator(nl *Netlist, m Model, gamma float64, workers int, reach float64) *Evaluator {
 	pins := 0
 	for i := range nl.Nets {
 		pins += len(nl.Nets[i].Pins)
@@ -101,6 +111,7 @@ func NewEvaluator(nl *Netlist, m Model, gamma float64, workers int) *Evaluator {
 	if len(nl.Nets) < 4*e.workers {
 		e.workers = 1
 	}
+	e.slack = e.deriveSlack(reach)
 	if e.workers > 1 {
 		e.shards = make([]float64, e.workers)
 		e.bufs = make([][]float64, e.workers)
@@ -127,16 +138,40 @@ func (e *Evaluator) netRange(k int) (int, int) {
 	return nets * k / e.workers, nets * (k + 1) / e.workers
 }
 
-// Value returns the total weighted wirelength at object centers (x, y)
-// and caches what Gradient needs at that point.
-func (e *Evaluator) Value(x, y []float64) float64 {
-	if e.workers == 1 {
-		return e.valueRange(0, len(e.weight), x, y)
+// Value returns the total weighted wirelength WL at object centers
+// (x, y) and caches what Gradient needs at that point. When WL ≤ limit
+// the result is WL bit for bit. Otherwise Value may stop summing as soon
+// as a partial sum exceeds limit + Slack() and return +Inf; the cache is
+// then incomplete, so Gradient needs a Value call that was not cut.
+// +Inf and NaN limits never cut.
+//
+// With several workers each checks its own shard's partial sum against
+// the same bar: Slack covers the other shards' terms and the shard
+// reduction too. The first to cross it stops all, and a value that is
+// not cut is the sum the uncut call returns.
+func (e *Evaluator) Value(x, y []float64, limit float64) float64 {
+	bar := math.Inf(1)
+	if limit < bar {
+		// Round up, so a partial sum above bar is above limit + slack.
+		bar = math.Nextafter(limit+e.slack, math.Inf(1))
 	}
+	if e.workers == 1 {
+		total, done := e.valueRange(0, len(e.weight), x, y, bar, nil)
+		if !done {
+			e.cuts++
+			return math.Inf(1)
+		}
+		return total
+	}
+	var stop atomic.Bool
 	par.For(e.workers, e.workers, func(k int) {
 		lo, hi := e.netRange(k)
-		e.shards[k] = e.valueRange(lo, hi, x, y)
+		e.shards[k], _ = e.valueRange(lo, hi, x, y, bar, &stop)
 	})
+	if stop.Load() {
+		e.cuts++
+		return math.Inf(1)
+	}
 	var total float64
 	for _, s := range e.shards {
 		total += s
@@ -144,7 +179,18 @@ func (e *Evaluator) Value(x, y []float64) float64 {
 	return total
 }
 
-func (e *Evaluator) valueRange(lo, hi int, x, y []float64) float64 {
+// Cuts returns how many Value calls so far stopped early.
+func (e *Evaluator) Cuts() int { return e.cuts }
+
+// Slack returns the bound on how far the terms not yet summed, and the
+// additions still to come, can pull any partial sum of Value down: every
+// value Value returns for a point within reach is ≥ −Slack(). The
+// weighted-average terms are ≥ 0 only in exact arithmetic.
+func (e *Evaluator) Slack() float64 { return e.slack }
+
+// valueRange sums nets [lo, hi). It reports false, with the sum so far,
+// once the sum exceeds bar or stop is set; crossing bar sets stop.
+func (e *Evaluator) valueRange(lo, hi int, x, y []float64, bar float64, stop *atomic.Bool) (float64, bool) {
 	var total float64
 	for k := lo; k < hi; k++ {
 		p0, p1 := e.start[k], e.start[k+1]
@@ -154,8 +200,17 @@ func (e *Evaluator) valueRange(lo, hi int, x, y []float64) float64 {
 		w := e.weight[k]
 		total += w * e.axisValue(k, p0, p1, x, &e.ax)
 		total += w * e.axisValue(k, p0, p1, y, &e.ay)
+		if total > bar {
+			if stop != nil {
+				stop.Store(true)
+			}
+			return total, false
+		}
+		if stop != nil && stop.Load() {
+			return total, false
+		}
 	}
-	return total
+	return total, true
 }
 
 // axisValue evaluates net k on one axis and caches its pins'

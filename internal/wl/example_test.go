@@ -2,6 +2,7 @@ package wl_test
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/wl"
 )
@@ -22,7 +23,7 @@ func ExampleWA() {
 	x := []float64{10, 30}
 	y := []float64{0, 0}
 	exact := wl.HPWL(nl, x, y)
-	smooth := wl.NewEvaluator(nl, wl.WA, 1, 1).Value(x, y)
+	smooth := wl.NewEvaluator(nl, wl.WA, 1, 1, math.Inf(1)).Value(x, y, math.Inf(1))
 	fmt.Printf("HPWL %.1f, WA underestimates: %v\n", exact, smooth <= exact)
 	// Output:
 	// HPWL 30.0, WA underestimates: true

@@ -284,6 +284,12 @@ func TestEvaluatorMatchesReference(t *testing.T) {
 		x2[i] += rng.Float64()*6 - 3
 		y2[i] += rng.Float64()*6 - 3
 	}
+	var reach float64
+	for _, c := range [][]float64{x, y, x2, y2} {
+		for _, v := range c {
+			reach = math.Max(reach, math.Abs(v))
+		}
+	}
 	for _, tc := range []struct {
 		m     Model
 		ref   refModel
@@ -292,7 +298,7 @@ func TestEvaluatorMatchesReference(t *testing.T) {
 		for _, workers := range []int{1, 2, 4, 7, 8} {
 			t.Run(fmt.Sprintf("%s/gamma=%v/w=%d", tc.m, tc.gamma, workers), func(t *testing.T) {
 				ref := refParallel{model: tc.ref, workers: workers}
-				e := NewEvaluator(nl, tc.m, tc.gamma, workers)
+				e := NewEvaluator(nl, tc.m, tc.gamma, workers, reach)
 				if e.workers != workers {
 					t.Fatalf("evaluator runs %d workers, want %d", e.workers, workers)
 				}
@@ -304,21 +310,33 @@ func TestEvaluatorMatchesReference(t *testing.T) {
 					if rvOnly := ref.Eval(nl, px, py, nil, nil); !sameBits(rv, rvOnly) {
 						t.Fatalf("reference value depends on the gradient request: %v vs %v", rv, rvOnly)
 					}
-					// Value at another point first: the cache must be
-					// overwritten by the last call.
-					e.Value(y, x)
-					v := e.Value(px, py)
-					gx := make([]float64, n)
-					gy := make([]float64, n)
-					e.Gradient(gx, gy)
-					if !sameBits(v, rv) {
-						t.Fatalf("value %v, reference %v", v, rv)
-					}
-					for i := 0; i < n; i++ {
-						if !sameBits(gx[i], rgx[i]) || !sameBits(gy[i], rgy[i]) {
-							t.Fatalf("gradient at obj %d: (%v, %v), reference (%v, %v)", i, gx[i], gy[i], rgx[i], rgy[i])
+					// A limit at or above the value must not cut: the
+					// value and the gradient after it are the reference
+					// bits. Before each, Value at another point and a
+					// call cut about halfway through every shard must
+					// leave nothing behind.
+					low := rv / float64(2*workers)
+					for _, limit := range []float64{rv, math.Nextafter(rv, math.Inf(1)), 2 * rv, math.Inf(1)} {
+						e.Value(y, x, math.Inf(1))
+						if cut := e.Value(px, py, low); !(cut > low) {
+							t.Fatalf("limit %v below the value %v returned %v", low, rv, cut)
+						}
+						v := e.Value(px, py, limit)
+						gx := make([]float64, n)
+						gy := make([]float64, n)
+						e.Gradient(gx, gy)
+						if !sameBits(v, rv) {
+							t.Fatalf("limit %v: value %v, reference %v", limit, v, rv)
+						}
+						for i := 0; i < n; i++ {
+							if !sameBits(gx[i], rgx[i]) || !sameBits(gy[i], rgy[i]) {
+								t.Fatalf("limit %v: gradient at obj %d: (%v, %v), reference (%v, %v)", limit, i, gx[i], gy[i], rgx[i], rgy[i])
+							}
 						}
 					}
+				}
+				if e.Cuts() == 0 {
+					t.Error("no call stopped early at a limit far below the value")
 				}
 			})
 		}

@@ -77,7 +77,7 @@ func TestDegenerateNetsIgnored(t *testing.T) {
 
 // value evaluates model m with smoothing gamma serially.
 func value(nl *Netlist, m Model, gamma float64, x, y []float64) float64 {
-	return NewEvaluator(nl, m, gamma, 1).Value(x, y)
+	return NewEvaluator(nl, m, gamma, 1, math.Inf(1)).Value(x, y, math.Inf(1))
 }
 
 // randNetlist builds a random netlist over n objects for property tests.
@@ -183,8 +183,8 @@ func checkGradient(t *testing.T, m Model, gamma float64, nl *Netlist, x, y []flo
 	n := nl.NumObjs
 	gx := make([]float64, n)
 	gy := make([]float64, n)
-	e := NewEvaluator(nl, m, gamma, 1)
-	e.Value(x, y)
+	e := NewEvaluator(nl, m, gamma, 1, math.Inf(1))
+	e.Value(x, y, math.Inf(1))
 	e.Gradient(gx, gy)
 	const h = 1e-5
 	for i := 0; i < n; i++ {
@@ -197,9 +197,9 @@ func checkGradient(t *testing.T, m Model, gamma float64, nl *Netlist, x, y []flo
 			}
 			orig := coord[i]
 			coord[i] = orig + h
-			fp := e.Value(x, y)
+			fp := e.Value(x, y, math.Inf(1))
 			coord[i] = orig - h
-			fm := e.Value(x, y)
+			fm := e.Value(x, y, math.Inf(1))
 			coord[i] = orig
 			fd := (fp - fm) / (2 * h)
 			if math.Abs(fd-grad[i]) > 1e-4*(1+math.Abs(fd)) {
@@ -230,8 +230,8 @@ func TestNumericalStability(t *testing.T) {
 	for _, m := range []Model{WA, LSE} {
 		gx := make([]float64, 2)
 		gy := make([]float64, 2)
-		e := NewEvaluator(nl, m, 0.5, 1)
-		v := e.Value(x, y)
+		e := NewEvaluator(nl, m, 0.5, 1, math.Inf(1))
+		v := e.Value(x, y, math.Inf(1))
 		e.Gradient(gx, gy)
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Errorf("%s value not finite: %v", m, v)
@@ -254,8 +254,8 @@ func TestGradientDirection(t *testing.T) {
 	for _, m := range []Model{WA, LSE} {
 		gx := make([]float64, 2)
 		gy := make([]float64, 2)
-		e := NewEvaluator(nl, m, 1, 1)
-		e.Value(x, y)
+		e := NewEvaluator(nl, m, 1, 1, math.Inf(1))
+		e.Value(x, y, math.Inf(1))
 		e.Gradient(gx, gy)
 		if gx[1] <= 0 || gx[0] >= 0 {
 			t.Errorf("%s gradient signs wrong: %v", m, gx)
@@ -313,14 +313,14 @@ func benchEval(b *testing.B, m Model, objs, nets, workers int) {
 	nl, x, y := randNetlist(rng, objs, nets)
 	gx := make([]float64, objs)
 	gy := make([]float64, objs)
-	e := NewEvaluator(nl, m, 2, workers)
+	e := NewEvaluator(nl, m, 2, workers, math.Inf(1))
 	b.Run("value", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			e.Value(x, y)
+			e.Value(x, y, math.Inf(1))
 		}
 	})
 	b.Run("gradient", func(b *testing.B) {
-		e.Value(x, y)
+		e.Value(x, y, math.Inf(1))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			e.Gradient(gx, gy)
@@ -336,16 +336,16 @@ func TestParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	nl, x, y := randNetlist(rng, 200, 600)
 	for _, m := range []Model{WA, LSE} {
-		serial := NewEvaluator(nl, m, 2, 1)
+		serial := NewEvaluator(nl, m, 2, 1, math.Inf(1))
 		gx1 := make([]float64, 200)
 		gy1 := make([]float64, 200)
-		v1 := serial.Value(x, y)
+		v1 := serial.Value(x, y, math.Inf(1))
 		serial.Gradient(gx1, gy1)
 		for _, workers := range []int{1, 2, 4, 7, 8} {
-			par := NewEvaluator(nl, m, 2, workers)
+			par := NewEvaluator(nl, m, 2, workers, math.Inf(1))
 			gx2 := make([]float64, 200)
 			gy2 := make([]float64, 200)
-			v2 := par.Value(x, y)
+			v2 := par.Value(x, y, math.Inf(1))
 			par.Gradient(gx2, gy2)
 			if math.Abs(v1-v2) > 1e-9*(1+math.Abs(v1)) {
 				t.Errorf("%s w=%d: value %v != %v", m, workers, v2, v1)
@@ -364,11 +364,11 @@ func TestParallelSmallFallsBack(t *testing.T) {
 	nl := twoPin()
 	x := []float64{0, 3}
 	y := []float64{0, 4}
-	par := NewEvaluator(nl, WA, 1, 8)
+	par := NewEvaluator(nl, WA, 1, 8, math.Inf(1))
 	if par.workers != 1 {
 		t.Errorf("1-net netlist kept %d workers", par.workers)
 	}
-	if got, serial := par.Value(x, y), value(nl, WA, 1, x, y); got != serial {
+	if got, serial := par.Value(x, y, math.Inf(1)), value(nl, WA, 1, x, y); got != serial {
 		t.Errorf("small netlist path differs: %v vs %v", got, serial)
 	}
 }
