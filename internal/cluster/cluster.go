@@ -80,6 +80,10 @@ type Hierarchy struct {
 	Maps   [][]int
 }
 
+// maxClusterAreaFactor bounds any cluster to this multiple of the average
+// object area at the level being coarsened.
+const maxClusterAreaFactor = 10
+
 // Options tunes coarsening.
 type Options struct {
 	// MinObjs stops coarsening when a level has at most this many objects
@@ -87,9 +91,6 @@ type Options struct {
 	MinObjs int
 	// MaxLevels bounds the hierarchy depth (default 6).
 	MaxLevels int
-	// MaxClusterAreaFactor bounds any cluster to this multiple of the
-	// average object area at the level being coarsened (default 10).
-	MaxClusterAreaFactor float64
 	// MaxNetDegree ignores nets larger than this during scoring
 	// (default 16); huge nets carry little locality information.
 	MaxNetDegree int
@@ -106,9 +107,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxLevels <= 0 {
 		o.MaxLevels = 6
-	}
-	if o.MaxClusterAreaFactor <= 0 {
-		o.MaxClusterAreaFactor = 10
 	}
 	if o.MaxNetDegree <= 0 {
 		o.MaxNetDegree = 16
@@ -185,7 +183,7 @@ type edge struct {
 func coarsen(p *Problem, opt Options) (*Problem, []int, bool) {
 	n := p.NumObjs()
 	avgArea := p.TotalArea() / math.Max(1, float64(n))
-	maxArea := avgArea * opt.MaxClusterAreaFactor
+	maxArea := avgArea * maxClusterAreaFactor
 
 	// Pairwise connectivity weights from nets (clique model, weight
 	// w/(d−1) per pair, degree-capped).

@@ -62,13 +62,19 @@ func recordConfig(cfg Config) *snap.RunConfig {
 		DisableFences:      cfg.DisableFences,
 		DisableDP:          cfg.DisableDP,
 		DisableMultilevel:  cfg.DisableMultilevel,
+
+		InflateMax:          cfg.InflateMax,
+		DPPasses:            cfg.DPPasses,
+		EnableChannelDerate: cfg.EnableChannelDerate,
 	}
 }
 
 // ValidateResumeConfig rejects a resume whose current configuration would
 // place a different problem than the checkpointed run: every recorded
-// result-shaping knob must match. Checkpoints without a config section
-// (schema v1) pass vacuously. Workers deliberately does not participate:
+// result-shaping knob must match. A knob the checkpoint's schema predates
+// passes vacuously: all of them for a file without a config section
+// (v1), the v3 knobs for a v2 file. DisableQuadInit does not participate
+// because a resume never runs the warm start. Workers does not either:
 // a resume at another worker count is legal, but it is not byte-identical
 // to an uninterrupted run. Legalization, detailed placement and routing
 // give the same bytes at every worker count, global placement does not —
@@ -113,6 +119,17 @@ func ValidateResumeConfig(cfg Config, st *snap.State) error {
 	}
 	if now.DisableMultilevel != rc.DisableMultilevel {
 		add("disable multilevel", now.DisableMultilevel, rc.DisableMultilevel)
+	}
+	if rc.InflateMax != 0 {
+		if now.InflateMax != rc.InflateMax {
+			add("inflate max", now.InflateMax, rc.InflateMax)
+		}
+		if now.DPPasses != rc.DPPasses {
+			add("dp passes", now.DPPasses, rc.DPPasses)
+		}
+		if now.EnableChannelDerate != rc.EnableChannelDerate {
+			add("enable channel derate", now.EnableChannelDerate, rc.EnableChannelDerate)
+		}
 	}
 	if len(bad) > 0 {
 		return fmt.Errorf("core: resume config mismatch: %s", strings.Join(bad, "; "))

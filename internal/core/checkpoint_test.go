@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/geom"
 	"repro/internal/route"
 	"repro/internal/snap"
 )
@@ -219,7 +221,7 @@ func TestPlaceFromCheckpointValidation(t *testing.T) {
 
 // ValidateResumeConfig must pass identical configs (and config-less v1
 // checkpoints) and name every mismatched knob, while ignoring the worker
-// count — results are byte-identical across worker counts by contract.
+// count — a resume at another worker count is legal.
 func TestValidateResumeConfig(t *testing.T) {
 	base := Config{Workers: 2, CongestionSource: "estimate", RouteLastRounds: 2}
 	st := &snap.State{Config: recordConfig(base.withDefaults())}
@@ -248,6 +250,128 @@ func TestValidateResumeConfig(t *testing.T) {
 	for _, want := range []string{"congestion source", "route last rounds", "disable dp"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("mismatch error %q does not name %q", err, want)
+		}
+	}
+}
+
+// TestResumeRejectsEveryChangedOption: a checkpoint recorded under the
+// defaults must not resume under a config that changes any one JSON
+// option, except the ones exempt lists. A new Config field therefore
+// either reaches the checkpoint's config section or gets an exemption
+// with its reason here.
+func TestResumeRejectsEveryChangedOption(t *testing.T) {
+	exempt := map[string]string{
+		"workers":           "a resume at another worker count is legal, though not byte-identical",
+		"disable_quad_init": "a resume never runs the warm start",
+	}
+	// other holds another valid value for the options that a generic
+	// change (flip a bool, add 1 to an int, scale a float) cannot give.
+	other := map[string]any{
+		"model":             "lse",
+		"congestion_source": "estimate",
+		"target_density":    0.5,
+	}
+	def := Config{}.withDefaults()
+	st, err := snap.Decode(snap.Encode(&snap.State{Stage: snap.StageGP, Config: recordConfig(def)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A v2 file decodes the options v3 added as zero values.
+	v2 := *st.Config
+	v2.InflateMax, v2.DPPasses, v2.EnableChannelDerate = 0, 0, false
+	v3Only := map[string]bool{"inflate_max": true, "dp_passes": true, "enable_channel_derate": true}
+
+	typ := reflect.TypeOf(def)
+	for i := range typ.NumField() {
+		name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+		if name == "" || name == "-" || exempt[name] != "" {
+			continue
+		}
+		cfg := def
+		f := reflect.ValueOf(&cfg).Elem().Field(i)
+		switch v, ok := other[name]; {
+		case ok:
+			f.Set(reflect.ValueOf(v))
+		case f.Kind() == reflect.Bool:
+			f.SetBool(!f.Bool())
+		case f.Kind() == reflect.Int:
+			f.SetInt(f.Int() + 1)
+		case f.Kind() == reflect.Float64:
+			f.SetFloat(f.Float() * 1.5)
+		default:
+			t.Fatalf("%s: no other value for a %v option; add one to other", name, f.Kind())
+		}
+		was := reflect.ValueOf(def).Field(i).Interface()
+		if f.Interface() == was {
+			t.Fatalf("%s: other value %v equals the default; add one to other", name, was)
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("%s = %v is not a valid config: %v", name, f.Interface(), err)
+		}
+		if err := ValidateResumeConfig(cfg, st); err == nil {
+			t.Errorf("resume with %s changed from %v to %v accepted", name, was, f.Interface())
+		}
+		if v3Only[name] {
+			if err := ValidateResumeConfig(cfg, &snap.State{Config: &v2}); err != nil {
+				t.Errorf("%s: v2 checkpoint, which predates it, rejected: %v", name, err)
+			}
+		}
+	}
+}
+
+// TestResumeOlderSchemaCheckpoints resumes one mid-GP checkpoint as the
+// current schema records it, as a v2 file decodes it (no v3 options) and
+// as a v1 file decodes it (no config section). The config section only
+// gates the resume, so all three must finish the same legal placement.
+func TestResumeOlderSchemaCheckpoints(t *testing.T) {
+	genCfg := resumeGenCfg(3)
+	var blob []byte
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := resumeCfg()
+	cfg.Checkpoint = func(st *snap.State) {
+		if st.Stage == snap.StageGP && st.Round == 2 {
+			blob = snap.Encode(st)
+			cancel()
+		}
+	}
+	if _, err := MustNew(cfg).PlaceContext(ctx, gen.MustGenerate(genCfg)); !errors.Is(err, context.Canceled) || blob == nil {
+		t.Fatalf("no λ-round-2 checkpoint (err %v)", err)
+	}
+
+	var want []geom.Point
+	for _, c := range []struct {
+		schema string
+		edit   func(st *snap.State)
+	}{
+		{"v3", func(st *snap.State) {}},
+		{"v2", func(st *snap.State) {
+			st.Config.InflateMax, st.Config.DPPasses, st.Config.EnableChannelDerate = 0, 0, false
+		}},
+		{"v1", func(st *snap.State) { st.Config = nil }},
+	} {
+		st, err := snap.Decode(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.edit(st)
+		d := gen.MustGenerate(genCfg)
+		res, err := MustNew(resumeCfg()).PlaceFromCheckpoint(context.Background(), d, st)
+		if err != nil {
+			t.Fatalf("%s: %v", c.schema, err)
+		}
+		if res.Overlaps != 0 || res.OutOfDie != 0 || res.FenceViolations != 0 {
+			t.Errorf("%s: resumed placement not legal: overlaps=%d out=%d fence=%d",
+				c.schema, res.Overlaps, res.OutOfDie, res.FenceViolations)
+		}
+		got := make([]geom.Point, len(d.Cells))
+		for i := range d.Cells {
+			got[i] = d.Cells[i].Pos
+		}
+		if want == nil {
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: resumed placement differs from the v3 resume", c.schema)
 		}
 	}
 }

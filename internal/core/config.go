@@ -40,10 +40,6 @@ type Config struct {
 	// design utilization with a 15% margin.
 	TargetDensity float64 `json:"target_density"`
 
-	// GammaFactor scales the wirelength smoothing parameter relative to
-	// the bin dimension (default 0.8).
-	GammaFactor float64 `json:"gamma_factor"`
-
 	// Workers is the worker count for the parallel kernels (wirelength
 	// gradients, density penalty, global routing, detailed placement,
 	// legalization). 0 selects the shared automatic policy (internal/par:
@@ -53,13 +49,8 @@ type Config struct {
 	// byte-identical for every worker count.
 	Workers int `json:"workers"`
 
-	// GPIterPerRound is the CG iteration budget per λ round (default 30).
-	GPIterPerRound int `json:"gp_iter_per_round"`
 	// MaxLambdaRounds bounds the density-weight escalation (default 24).
 	MaxLambdaRounds int `json:"max_lambda_rounds"`
-	// OverflowStop ends spreading when total overflow falls below this
-	// fraction of movable area (default 0.10).
-	OverflowStop float64 `json:"overflow_stop"`
 
 	// DisableQuadInit skips the quadratic star-model warm start that seeds
 	// global placement (ablation; mainly useful to study cold starts).
@@ -72,8 +63,6 @@ type Config struct {
 	// the hierarchical constraints are ignored entirely (the "flat"
 	// baseline of experiment T4).
 	DisableFences bool `json:"disable_fences"`
-	// DisableMacroOrient skips the discrete macro-orientation pass.
-	DisableMacroOrient bool `json:"disable_macro_orient"`
 	// DisableDP skips detailed placement.
 	DisableDP bool `json:"disable_dp"`
 
@@ -97,12 +86,6 @@ type Config struct {
 	RouteLastRounds int `json:"route_last_rounds"`
 	// InflateMax caps the per-cell area inflation ratio (default 2.2).
 	InflateMax float64 `json:"inflate_max"`
-	// InflateExp shapes the congestion→inflation curve: ratio =
-	// min(InflateMax, congestion^InflateExp) (default 1.6).
-	InflateExp float64 `json:"inflate_exp"`
-	// CongestionThreshold is the tile utilization above which cells
-	// inflate (default 0.8).
-	CongestionThreshold float64 `json:"congestion_threshold"`
 
 	// DPPasses forwards to detailed placement (default 2).
 	DPPasses int `json:"dp_passes"`
@@ -114,16 +97,6 @@ type Config struct {
 	// routability loop subsumes it and the lost capacity just lengthens
 	// wires (ablation T11).
 	EnableChannelDerate bool `json:"enable_channel_derate"`
-	// ChannelMinSpan is the channel width below which capacity is derated,
-	// in row heights of the design (default 4).
-	ChannelMinSpan float64 `json:"channel_min_span"`
-	// ChannelDerate is the capacity multiplier applied to narrow-channel
-	// bins (default 0.5).
-	ChannelDerate float64 `json:"channel_derate"`
-
-	// ClusterMinObjs stops coarsening below this object count
-	// (default 400).
-	ClusterMinObjs int `json:"cluster_min_objs"`
 
 	// Trace, when non-nil, records the level-0 convergence curve
 	// (experiment F7).
@@ -155,17 +128,8 @@ func (c Config) withDefaults() Config {
 	if c.Model == "" {
 		c.Model = "wa"
 	}
-	if c.GammaFactor <= 0 {
-		c.GammaFactor = 0.8
-	}
-	if c.GPIterPerRound <= 0 {
-		c.GPIterPerRound = 30
-	}
 	if c.MaxLambdaRounds <= 0 {
 		c.MaxLambdaRounds = 24
-	}
-	if c.OverflowStop <= 0 {
-		c.OverflowStop = 0.10
 	}
 	if c.RoutabilityIters <= 0 {
 		c.RoutabilityIters = 2
@@ -179,26 +143,37 @@ func (c Config) withDefaults() Config {
 	if c.InflateMax <= 1 {
 		c.InflateMax = 2.2
 	}
-	if c.InflateExp <= 0 {
-		c.InflateExp = 1.6
-	}
-	if c.CongestionThreshold <= 0 {
-		c.CongestionThreshold = 0.8
-	}
 	if c.DPPasses <= 0 {
 		c.DPPasses = 2
 	}
-	if c.ClusterMinObjs <= 0 {
-		c.ClusterMinObjs = 400
-	}
-	if c.ChannelMinSpan <= 0 {
-		c.ChannelMinSpan = 4
-	}
-	if c.ChannelDerate <= 0 {
-		c.ChannelDerate = 0.5
-	}
 	return c
 }
+
+// Fixed tuning of the flow: every run uses these values.
+const (
+	// gammaFactor scales the wirelength smoothing parameter relative to
+	// the bin dimension.
+	gammaFactor = 0.8
+	// gpIterPerRound is the CG iteration budget per λ round.
+	gpIterPerRound = 30
+	// overflowStop ends spreading when total overflow falls below this
+	// fraction of movable area.
+	overflowStop = 0.10
+	// inflateExp shapes the congestion→inflation curve: ratio =
+	// min(InflateMax, (congestion/ref)^inflateExp).
+	inflateExp = 1.6
+	// congestionThreshold is the tile utilization above which cells
+	// inflate.
+	congestionThreshold = 0.8
+	// channelMinSpan is the channel width below which EnableChannelDerate
+	// derates capacity, in row heights of the design.
+	channelMinSpan = 4
+	// channelDerate is the capacity multiplier applied to narrow-channel
+	// bins.
+	channelDerate = 0.5
+	// clusterMinObjs stops coarsening below this object count.
+	clusterMinObjs = 400
+)
 
 // Validate rejects configurations the engine cannot honor.
 func (c Config) Validate() error {

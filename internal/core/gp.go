@@ -32,6 +32,22 @@ type gpStats struct {
 	FinalMu     float64
 }
 
+// addGP adds one GP solve's counts to res and keeps its final overflow.
+// A non-nil sp also gets the counts as counters.
+func (res *Result) addGP(st gpStats, sp *obs.Span) {
+	res.LambdaRounds += st.LambdaRounds
+	res.CGIters += st.CGIters
+	res.ValueEvals += st.ValueEvals
+	res.ValueCuts += st.ValueCuts
+	res.Overflow = st.Overflow
+	if sp != nil {
+		sp.Add("lambda_rounds", int64(st.LambdaRounds))
+		sp.Add("cg_iters", int64(st.CGIters))
+		sp.Add("value_evals", int64(st.ValueEvals))
+		sp.Add("value_cuts", int64(st.ValueCuts))
+	}
+}
+
 // levelSolver minimizes WL + λ·density + μ·fence over one problem level.
 type levelSolver struct {
 	cfg     Config
@@ -115,16 +131,16 @@ func newLevelSolver(cfg Config, p *cluster.Problem, die geom.Rect, fixed []geom.
 		ovGrid.AddFixed(r)
 	}
 	if cfg.EnableChannelDerate && rowH > 0 && len(fixed) > 0 {
-		span := cfg.ChannelMinSpan * rowH
-		grid.DerateNarrowChannels(span, cfg.ChannelDerate)
-		ovGrid.DerateNarrowChannels(span, cfg.ChannelDerate)
+		span := channelMinSpan * rowH
+		grid.DerateNarrowChannels(span, channelDerate)
+		ovGrid.DerateNarrowChannels(span, channelDerate)
 		// Derating must not make the density system infeasible: the
 		// summed capacity has to exceed the movable area or spreading
 		// stalls and legalization pays with huge displacement.
 		grid.EnsureCapacity(p.TotalArea(), 1.08)
 		ovGrid.EnsureCapacity(p.TotalArea(), 1.08)
 	}
-	gamma := cfg.GammaFactor * (grid.BinW + grid.BinH) / 2
+	gamma := gammaFactor * (grid.BinW + grid.BinH) / 2
 	model := wl.WA
 	if cfg.Model == "lse" {
 		model = wl.LSE
@@ -432,7 +448,7 @@ func (s *levelSolver) solve(ctx context.Context, trace *Trace) gpStats {
 		}
 		cuts := s.valueCuts()
 		res := nlopt.CG(s, v, nlopt.Options{
-			MaxIter:  s.cfg.GPIterPerRound,
+			MaxIter:  gpIterPerRound,
 			GradTol:  1e-9,
 			RelTol:   relTol,
 			StepInit: step,
@@ -453,7 +469,7 @@ func (s *levelSolver) solve(ctx context.Context, trace *Trace) gpStats {
 		// small or stopped improving — it has a structural floor set by
 		// the discreteness of cells at bin resolution.
 		fineOv := s.grid.Overflow(s.objs, v[:n], v[n:])
-		fineDone := fineOv < 2*s.cfg.OverflowStop || fineOv > prevFine*0.97
+		fineDone := fineOv < 2*overflowStop || fineOv > prevFine*0.97
 		prevFine = fineOv
 		if rsp != nil {
 			rsp.Add("cg_iters", int64(res.Iters))
@@ -479,7 +495,7 @@ func (s *levelSolver) solve(ctx context.Context, trace *Trace) gpStats {
 				"coarse", stats.Overflow, "fine", fineOv,
 				"fence", fenced, "hpwl", hp, "iters", res.Iters)
 		}
-		if stats.Overflow < s.cfg.OverflowStop && fineDone && fenced <= fenceTol {
+		if stats.Overflow < overflowStop && fineDone && fenced <= fenceTol {
 			break
 		}
 		if s.freeze {

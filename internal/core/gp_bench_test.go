@@ -34,7 +34,7 @@ func levelBenches(tb testing.TB, workers int) []levelBench {
 	staggerCoincident(prob, d.Die)
 	quadInit(prob, d.Die)
 	staggerCoincident(prob, d.Die)
-	hier := cluster.Build(prob, cluster.Options{MinObjs: cfg.ClusterMinObjs})
+	hier := cluster.Build(prob, cluster.Options{MinObjs: clusterMinObjs})
 	var out []levelBench
 	for _, lv := range []struct {
 		name string
@@ -62,7 +62,7 @@ func (lb *levelBench) recordRejected(tb testing.TB) {
 	rec := &trialRecorder{s: lb.s}
 	step := (lb.s.grid.BinW + lb.s.grid.BinH) / 2
 	nlopt.CG(rec, append([]float64(nil), lb.v...), nlopt.Options{
-		MaxIter: lb.s.cfg.GPIterPerRound, GradTol: 1e-9, RelTol: 1e-4,
+		MaxIter: gpIterPerRound, GradTol: 1e-9, RelTol: 1e-4,
 		StepInit: step, Project: lb.s.project,
 		Stop: func() bool { return rec.trial != nil },
 	})

@@ -104,7 +104,7 @@ func (pl *Placer) PlaceContext(ctx context.Context, d *db.Design) (Result, error
 	if cfg.DisableMultilevel {
 		hier = &cluster.Hierarchy{Levels: []*cluster.Problem{prob}}
 	} else {
-		hier = cluster.Build(prob, cluster.Options{MinObjs: cfg.ClusterMinObjs, Obs: rec})
+		hier = cluster.Build(prob, cluster.Options{MinObjs: clusterMinObjs, Obs: rec})
 	}
 	res.Levels = len(hier.Levels)
 	var ck *checkpointer
@@ -129,18 +129,8 @@ func (pl *Placer) PlaceContext(ctx context.Context, d *db.Design) (Result, error
 			s.onRound = ck.gpHook(prob, pm, 0)
 		}
 		st := s.solve(ctx, trace)
-		if s.span != nil {
-			s.span.Add("lambda_rounds", int64(st.LambdaRounds))
-			s.span.Add("cg_iters", int64(st.CGIters))
-			s.span.Add("value_evals", int64(st.ValueEvals))
-			s.span.Add("value_cuts", int64(st.ValueCuts))
-			s.span.End()
-		}
-		res.LambdaRounds += st.LambdaRounds
-		res.CGIters += st.CGIters
-		res.ValueEvals += st.ValueEvals
-		res.ValueCuts += st.ValueCuts
-		res.Overflow = st.Overflow
+		res.addGP(st, s.span)
+		s.span.End()
 		lastLambda = st.FinalLambda
 		lastMu = st.FinalMu
 		if err := ctx.Err(); err != nil {
@@ -188,11 +178,9 @@ func (pl *Placer) finish(ctx context.Context, d *db.Design, routedGrid *route.Gr
 	}
 
 	// ---- Macro orientation ------------------------------------------
-	if !cfg.DisableMacroOrient {
-		oSp := rec.StartSpan("orient")
-		orientMacros(d)
-		oSp.End()
-	}
+	oSp := rec.StartSpan("orient")
+	orientMacros(d)
+	oSp.End()
 
 	// ---- Legalization ------------------------------------------------
 	t2 := time.Now()
@@ -355,7 +343,7 @@ func (pl *Placer) routabilityLoop(ctx context.Context, d *db.Design, prob *clust
 		// absolute terms and versus the design's 75th percentile inflate,
 		// so a uniformly overloaded design still gets *targeted* relief
 		// of its worst spots instead of a blanket (and useless) blow-up.
-		ref := math.Max(cfg.CongestionThreshold, quantile(tileCong, 0.75))
+		ref := math.Max(congestionThreshold, quantile(tileCong, 0.75))
 		inflated := 0
 		for _, ci := range pm.objToCell {
 			c := &d.Cells[ci]
@@ -370,7 +358,7 @@ func (pl *Placer) routabilityLoop(ctx context.Context, d *db.Design, prob *clust
 			if cong <= ref {
 				continue
 			}
-			ratio := math.Min(cfg.InflateMax, math.Pow(cong/ref, cfg.InflateExp))
+			ratio := math.Min(cfg.InflateMax, math.Pow(cong/ref, inflateExp))
 			// Grow gently: at most +25% density footprint per iteration,
 			// so one noisy estimate cannot blow a region up.
 			ratio = math.Min(ratio, c.Inflate*1.25)
@@ -430,12 +418,8 @@ func (pl *Placer) routabilityLoop(ctx context.Context, d *db.Design, prob *clust
 		s.phase = "respread"
 		s.span = iterSp.StartSpan("respread")
 		st := s.solve(ctx, nil)
+		res.addGP(st, nil)
 		s.span.End()
-		res.LambdaRounds += st.LambdaRounds
-		res.CGIters += st.CGIters
-		res.ValueEvals += st.ValueEvals
-		res.ValueCuts += st.ValueCuts
-		res.Overflow = st.Overflow
 		writeBack(d, prob, pm)
 		iterSp.End()
 		if err := ctx.Err(); err != nil {

@@ -127,6 +127,7 @@ func (pl *Placer) PlaceFromCheckpoint(ctx context.Context, d *db.Design, st *sna
 		ck = &checkpointer{d: d, cfg: cfg, fp: fp}
 	}
 	res.Levels = 1
+	res.LambdaRounds = st.Round
 	lastLambda, lastMu := st.Lambda, st.Mu
 	if st.Stage == snap.StageGP && st.Round < cfg.MaxLambdaRounds {
 		rcfg := cfg
@@ -142,18 +143,8 @@ func (pl *Placer) PlaceFromCheckpoint(ctx context.Context, d *db.Design, st *sna
 			s.onRound = ck.gpHook(prob, pm, st.Round)
 		}
 		gst := s.solve(ctx, cfg.Trace)
-		if s.span != nil {
-			s.span.Add("lambda_rounds", int64(gst.LambdaRounds))
-			s.span.Add("cg_iters", int64(gst.CGIters))
-			s.span.Add("value_evals", int64(gst.ValueEvals))
-			s.span.Add("value_cuts", int64(gst.ValueCuts))
-			s.span.End()
-		}
-		res.LambdaRounds = st.Round + gst.LambdaRounds
-		res.CGIters = gst.CGIters
-		res.ValueEvals = gst.ValueEvals
-		res.ValueCuts = gst.ValueCuts
-		res.Overflow = gst.Overflow
+		res.addGP(gst, s.span)
+		s.span.End()
 		lastLambda = gst.FinalLambda
 		lastMu = gst.FinalMu
 		if err := ctx.Err(); err != nil {
@@ -163,8 +154,6 @@ func (pl *Placer) PlaceFromCheckpoint(ctx context.Context, d *db.Design, st *sna
 		}
 		gpSp.End()
 		writeBack(d, prob, pm)
-	} else {
-		res.LambdaRounds = st.Round
 	}
 	res.GPTime = time.Since(t0)
 	res.HPWLGlobal = d.HPWL()

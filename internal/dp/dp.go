@@ -37,13 +37,13 @@ import (
 // proposal commits only when it lowers cost by more than this.
 const eps = 1e-9
 
+// windowSize is the local-reorder window; its cost grows factorially.
+const windowSize = 3
+
 // Options tunes detailed placement.
 type Options struct {
 	// Passes is the number of full optimization sweeps (default 2).
 	Passes int
-	// WindowSize is the local-reorder window (default 3; cost grows
-	// factorially).
-	WindowSize int
 	// SwapRadius is the neighbourhood, in row heights, searched for swap
 	// partners around a cell's optimal position (default 10).
 	SwapRadius float64
@@ -83,9 +83,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Passes <= 0 {
 		o.Passes = 2
-	}
-	if o.WindowSize <= 1 {
-		o.WindowSize = 3
 	}
 	if o.SwapRadius <= 0 {
 		o.SwapRadius = 10
@@ -228,7 +225,7 @@ func newOptimizer(d *db.Design, opt Options) *optimizer {
 	for gi := range d.Regions {
 		o.fenceRects = append(o.fenceRects, d.Regions[gi].Rects...)
 	}
-	o.perms = permutations(opt.WindowSize)
+	o.perms = permutations(windowSize)
 	o.cache = incr.New(d)
 	o.anchors = o.cache.NewAnchors()
 	if opt.Estimate != nil {

@@ -30,7 +30,7 @@ func (o *optimizer) localReorder() int {
 	d := o.d
 	o.buildRows()
 	o.buildAnchors()
-	w := o.opt.WindowSize
+	w := windowSize
 	props := make([][]reorderProposal, len(o.rowList))
 	o.forItems(len(o.rowList), func(ws *workerState, ri int) {
 		row := o.rowList[ri]

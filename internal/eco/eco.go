@@ -15,8 +15,9 @@ import (
 )
 
 // ErrNeedFull is returned by Place when the diff is outside windowed
-// repair's reach (macro delta or too large a dirty fraction). Callers
-// should fall back to a from-scratch core.PlaceContext run.
+// repair's reach (a macro delta, or a dirty fraction above
+// DefaultMaxDirtyFrac). Callers should fall back to a from-scratch
+// core.PlaceContext run.
 var ErrNeedFull = errors.New("eco: delta needs a full place")
 
 // Options configures the windowed repair pass. The zero value is
@@ -30,15 +31,6 @@ type Options struct {
 	// row heights (default 8). Legalization fallbacks double it and retry
 	// up to two times before giving up.
 	MarginRows float64
-	// MaxDirtyFrac is the dirty-cell fraction above which Place returns
-	// ErrNeedFull (≤ 0 = DefaultMaxDirtyFrac).
-	MaxDirtyFrac float64
-	// DPPasses is the detailed-placement pass count inside the windows
-	// (≤ 0 = dp's default).
-	DPPasses int
-	// DisableEstimate skips the live congestion guard during window DP
-	// (designs without a routing grid never build one).
-	DisableEstimate bool
 	// Obs records "eco" spans and debug logs (nil = disabled).
 	Obs *obs.Recorder
 }
@@ -99,7 +91,7 @@ func Place(next *db.Design, df *Diff, base *Placement, opt Options) (Result, err
 	if len(next.Cells) == 0 {
 		return res, fmt.Errorf("eco: empty design")
 	}
-	if df.NeedFull(opt.MaxDirtyFrac) {
+	if df.NeedFull(DefaultMaxDirtyFrac) {
 		transfer(next, df, base)
 		return res, ErrNeedFull
 	}
@@ -178,8 +170,8 @@ func Place(next *db.Design, df *Diff, base *Placement, opt Options) (Result, err
 	// enter the optimizer, riding the incremental wirelength cache; with
 	// a routing grid present, a live probabilistic congestion estimator
 	// guards moves the way the full flow's estimate mode does.
-	dpOpt := dp.Options{Passes: opt.DPPasses, Workers: opt.Workers, Obs: opt.Obs}
-	if next.Route != nil && !opt.DisableEstimate {
+	dpOpt := dp.Options{Workers: opt.Workers, Obs: opt.Obs}
+	if next.Route != nil {
 		if grid, err := route.NewGrid(next); err == nil {
 			dpOpt.Estimate = estimate.New(grid, estimate.Options{Workers: opt.Workers})
 		}

@@ -43,24 +43,21 @@ const fpScale = 1 << 20
 // add/remove pairs cancel exactly.
 func fp(tracks float64) int64 { return int64(math.Round(tracks * fpScale)) }
 
+// perPin is the local pin-escape demand in tracks per pin, split evenly
+// between the horizontal and vertical accumulators of the pin's tile.
+// Pin density is what separates two placements with identical net boxes
+// but different cell crowding.
+const perPin = 0.05
+
+// pinHalf is one pin's demand on each accumulator, in fixed point.
+var pinHalf = fp(perPin) / 2
+
 // Options tunes an Estimator.
 type Options struct {
-	// PerPin is the local pin-escape demand in tracks per pin, split
-	// evenly between the horizontal and vertical accumulators of the
-	// pin's tile (default 0.05). Pin density is what separates two
-	// placements with identical net boxes but different cell crowding.
-	PerPin float64
 	// Workers is the full-recompute worker count, resolved through
 	// par.Workers (≤ 0 selects the automatic policy). Demand grids are
 	// byte-identical for every worker count.
 	Workers int
-}
-
-func (o Options) withDefaults() Options {
-	if o.PerPin <= 0 {
-		o.PerPin = 0.05
-	}
-	return o
 }
 
 // Estimator holds a probabilistic per-tile congestion map over a routing
@@ -74,8 +71,6 @@ type Estimator struct {
 	Origin       geom.Point
 	TileW, TileH float64
 
-	perPin  float64
-	pinHalf int64 // fp(perPin)/2, precomputed
 	workers int
 
 	// hCap and vCap are per-tile capacities in tracks: the mean of the
@@ -95,13 +90,10 @@ type Estimator struct {
 // New builds an estimator over the grid's geometry and capacities. The
 // grid is only read during construction; routing demand on it is ignored.
 func New(g *route.Grid, opt Options) *Estimator {
-	opt = opt.withDefaults()
 	e := &Estimator{
 		NX: g.NX, NY: g.NY,
 		Origin: g.Origin,
 		TileW:  g.TileW, TileH: g.TileH,
-		perPin:  opt.PerPin,
-		pinHalf: fp(opt.PerPin) / 2,
 		workers: par.Workers(opt.Workers),
 	}
 	n := e.NX * e.NY
@@ -275,8 +267,8 @@ func (e *Estimator) recomputeChunk(d *db.Design, h, v []int64, shard, shards int
 	}
 	for pi := shard; pi < len(d.Pins); pi += shards {
 		idx := e.tileIdx(d.PinPos(pi))
-		h[idx] += e.pinHalf
-		v[idx] += e.pinHalf
+		h[idx] += pinHalf
+		v[idx] += pinHalf
 	}
 }
 

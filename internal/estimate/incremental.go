@@ -144,10 +144,10 @@ func (in *Incremental) PostMove(ci int) {
 		if now == s.idx {
 			continue
 		}
-		in.apply(int(s.idx), 0, -in.e.pinHalf)
-		in.apply(int(s.idx), 1, -in.e.pinHalf)
-		in.apply(int(now), 0, in.e.pinHalf)
-		in.apply(int(now), 1, in.e.pinHalf)
+		in.apply(int(s.idx), 0, -pinHalf)
+		in.apply(int(s.idx), 1, -pinHalf)
+		in.apply(int(now), 0, pinHalf)
+		in.apply(int(now), 1, pinHalf)
 	}
 }
 

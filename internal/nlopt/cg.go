@@ -37,6 +37,13 @@ type Objective interface {
 	Gradient(grad []float64)
 }
 
+// The Armijo line search: at most maxBacktrack halvings per iteration,
+// and armijoC is the sufficient-decrease constant.
+const (
+	maxBacktrack = 30
+	armijoC      = 1e-4
+)
+
 // Options tunes the CG run. Zero values select reasonable defaults.
 type Options struct {
 	// MaxIter bounds the number of CG iterations (default 300).
@@ -55,10 +62,6 @@ type Options struct {
 	// backtracking actually accepted — and is quartered when a line
 	// search stalls.
 	StepInit float64
-	// MaxBacktrack bounds the Armijo halvings per iteration (default 30).
-	MaxBacktrack int
-	// ArmijoC is the sufficient-decrease constant (default 1e-4).
-	ArmijoC float64
 	// Project, when non-nil, is applied to the iterate after every
 	// accepted step (e.g. clamping into the die). Projection composes
 	// with the line search: the Armijo test is evaluated at the projected
@@ -85,12 +88,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.StepInit <= 0 {
 		o.StepInit = 1
-	}
-	if o.MaxBacktrack <= 0 {
-		o.MaxBacktrack = 30
-	}
-	if o.ArmijoC <= 0 {
-		o.ArmijoC = 1e-4
 	}
 	return o
 }
@@ -193,14 +190,14 @@ func CG(f Objective, v []float64, opt Options) Result {
 		alpha := step / dmax
 		accepted := false
 		var fNew float64
-		for bt := 0; bt < opt.MaxBacktrack; bt++ {
+		for bt := 0; bt < maxBacktrack; bt++ {
 			for i := range trial {
 				trial[i] = v[i] + alpha*dir[i]
 			}
 			if opt.Project != nil {
 				opt.Project(trial)
 			}
-			limit := fv + opt.ArmijoC*alpha*dd
+			limit := fv + armijoC*alpha*dd
 			fNew = f.Value(trial, limit)
 			res.ValueEvals++
 			if fNew <= limit {

@@ -161,6 +161,75 @@ func manufactureJobDir(t *testing.T, stateDir, id string, spec Spec) string {
 	return dir
 }
 
+// oldConfigJSON is core.Config as daemons encoded it before nine of its
+// options became constants: every key, with no omitempty, so their
+// spec.json files carry gamma_factor, gp_iter_per_round and the rest.
+const oldConfigJSON = `{"model":"","target_density":0,"gamma_factor":0,"workers":1,` +
+	`"gp_iter_per_round":0,"max_lambda_rounds":0,"overflow_stop":0,"disable_quad_init":false,` +
+	`"disable_multilevel":false,"disable_routability":false,"disable_fences":false,` +
+	`"disable_macro_orient":false,"disable_dp":true,"routability_iters":0,"congestion_source":"",` +
+	`"route_last_rounds":0,"inflate_max":0,"inflate_exp":0,"congestion_threshold":0,"dp_passes":0,` +
+	`"enable_channel_derate":false,"channel_min_span":0,"channel_derate":0,"cluster_min_objs":0}`
+
+// TestRestartLoadsSpecWithRemovedKeys: journals written before the config
+// lost those keys still load. A finished job is served from its journal,
+// and an interrupted one re-runs to done under the options that remain.
+func TestRestartLoadsSpecWithRemovedKeys(t *testing.T) {
+	dir := t.TempDir()
+	gb, err := json.Marshal(tinyGen())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plant := func(id, source, log string) string {
+		jobDir := filepath.Join(dir, "jobs", id)
+		if err := os.MkdirAll(jobDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		rec := fmt.Sprintf(`{"id":%q,"submitted":"2026-01-02T03:04:05Z","spec":{%s,"config":%s}}`, id, source, oldConfigJSON)
+		if err := os.WriteFile(filepath.Join(jobDir, specFile), []byte(rec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(jobDir, eventsFile), []byte(log), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return jobDir
+	}
+	doneDir := plant("job-000001", `"synth":"sb-a"`, `{"seq":0,"type":"state","state":"queued"}`+"\n"+
+		`{"seq":1,"type":"state","state":"running"}`+"\n"+`{"seq":2,"type":"state","state":"done"}`+"\n")
+	wantPl := []byte("UCLA pl 1.0\n")
+	if err := os.WriteFile(filepath.Join(doneDir, ResultFile), wantPl, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	plant("job-000002", `"generate":`+string(gb), `{"seq":0,"type":"state","state":"queued"}`+"\n"+
+		`{"seq":1,"type":"state","state":"running"}`+"\n")
+
+	m := mustManager(t, Options{StateDir: dir})
+	ts := httptest.NewServer(NewServer(m, ServerOptions{}))
+	defer ts.Close()
+	defer shutdownNow(m)
+
+	code, body := getBody(t, ts.URL+"/jobs/job-000001")
+	var st Status
+	if err := json.Unmarshal(body, &st); code != http.StatusOK || err != nil || st.State != StateDone {
+		t.Fatalf("old finished job: status %d, state %q (%v): %s", code, st.State, err, body)
+	}
+	if code, pl := getBody(t, ts.URL+"/jobs/job-000001/result.pl"); code != http.StatusOK || !bytes.Equal(pl, wantPl) {
+		t.Errorf("old finished job: result.pl %d %q, want 200 %q", code, pl, wantPl)
+	}
+
+	j, err := m.Get("job-000002")
+	if err != nil {
+		t.Fatalf("old interrupted job not recovered: %v", err)
+	}
+	if c := j.Spec.Config; c.Workers != 1 || !c.DisableDP {
+		t.Errorf("old interrupted job config = %+v, want workers 1 and disable_dp kept", c)
+	}
+	waitState(t, j, StateDone, 60*time.Second)
+	if code, pl := getBody(t, ts.URL+"/jobs/job-000002/result.pl"); code != http.StatusOK || !bytes.HasPrefix(pl, []byte("UCLA pl")) {
+		t.Errorf("old interrupted job: result.pl %d after re-run", code)
+	}
+}
+
 // TestRestartRequeuesInterruptedJob recovers a journal whose event log
 // stops at "running" (a crash), re-runs the job, and checks the event
 // sequence continues from the journaled offset.

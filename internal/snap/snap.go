@@ -6,11 +6,11 @@
 // core.Placer.PlaceFromCheckpoint to resume the flow and still converge to
 // a legal placement.
 //
-// The format is pinned by golden files (testdata/v1.snap,
-// testdata/v2.snap): any change to the byte layout must bump Version and
+// The format is pinned by golden files (testdata/v1.snap through
+// testdata/v3.snap): any change to the byte layout must bump Version and
 // add a new golden, never rewrite an old one. Encoders always write the
 // current version; the decoder also reads every older version (v1 files
-// simply have no recorded run config). Files are written atomically (temp
+// simply have no recorded run config, v2 files record part of it). Files are written atomically (temp
 // file + fsync + rename) so a crash mid-write leaves either the previous
 // checkpoint or none, and every file carries a CRC32 footer so torn or
 // bit-rotted checkpoints are detected on load instead of resuming from
@@ -33,7 +33,7 @@ const Magic = "RPSN"
 
 // Version is the current schema version. The encoder always writes it;
 // the decoder reads it and every older version.
-const Version = 2
+const Version = 3
 
 // ErrCorrupt is wrapped by decode errors caused by a damaged or truncated
 // checkpoint (bad magic, short buffer, length overrun, CRC mismatch, a
@@ -77,8 +77,12 @@ type RouteState struct {
 // configuration would silently produce a placement neither run would
 // have — core.ValidateResumeConfig compares this against the resuming
 // config and rejects mismatches up front. Workers is recorded for
-// forensics but is not binding: legalization, detailed placement and
-// routing are byte-identical for every worker count.
+// forensics but is not binding: a resume at another worker count is
+// legal, though not byte-identical.
+//
+// InflateMax, DPPasses and EnableChannelDerate are recorded from v3 on.
+// A v2 file decodes them as zero values; InflateMax 0, which no run
+// uses, marks them as not recorded.
 type RunConfig struct {
 	Model              string
 	TargetDensity      float64
@@ -91,6 +95,10 @@ type RunConfig struct {
 	DisableFences      bool
 	DisableDP          bool
 	DisableMultilevel  bool
+
+	InflateMax          float64
+	DPPasses            int
+	EnableChannelDerate bool
 }
 
 // State is one checkpoint of the placement flow.
@@ -140,11 +148,12 @@ func (st *State) NumCells() int { return len(st.X) }
 //	u8 hasRoute [ u32 nx | u32 ny | 4×(u32 len | len×f64) ] |
 //	u8 hasConfig [ str model | f64 targetDensity | u32 workers |          (v2+)
 //	               u32 maxLambdaRounds | u32 routabilityIters |
-//	               str congestionSource | u32 routeLastRounds | u8 flags ] |
+//	               str congestionSource | u32 routeLastRounds | u8 flags |
+//	               f64 inflateMax | u32 dpPasses ] |                       (v3+)
 //	u32 crc32-IEEE of everything above
 //
 // flags packs the disable bits: 1 routability, 2 fences, 4 dp,
-// 8 multilevel.
+// 8 multilevel; and from v3, 16 enable channel derate.
 func Encode(st *State) []byte {
 	n := len(st.X)
 	size := 4 + 4 + 4 + len(st.Design) + 32 + 1 + 4*3 + 8*2 + 4 + n*(8+8+1+8) + 1 + 4
@@ -203,7 +212,12 @@ func Encode(st *State) []byte {
 		if c.DisableMultilevel {
 			flags |= 8
 		}
+		if c.EnableChannelDerate {
+			flags |= 16
+		}
 		e.u8(flags)
+		e.f64(c.InflateMax)
+		e.u32(uint32(c.DPPasses))
 	}
 	e.u32(crc32.ChecksumIEEE(e.buf))
 	return e.buf
@@ -264,6 +278,11 @@ func Decode(data []byte) (*State, error) {
 		c.DisableFences = flags&2 != 0
 		c.DisableDP = flags&4 != 0
 		c.DisableMultilevel = flags&8 != 0
+		if v >= 3 {
+			c.EnableChannelDerate = flags&16 != 0
+			c.InflateMax = dec.f64()
+			c.DPPasses = int(dec.u32())
+		}
 		st.Config = c
 	}
 	if dec.err != nil {

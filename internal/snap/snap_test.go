@@ -17,11 +17,20 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // goldenState is a fixed checkpoint exercising every field of the current
-// schema. It must never change: together with testdata/v2.snap it pins the
-// byte layout of schema version 2. Its Config-less restriction
-// (goldenStateV1) pins version 1 via testdata/v1.snap, which modern
-// decoders must keep reading forever.
+// schema. It must never change: together with testdata/v3.snap it pins the
+// byte layout of schema version 3. Its restrictions pin the older
+// versions modern decoders must keep reading forever: goldenStateV2
+// (without the v3 config fields) via testdata/v2.snap, and the
+// Config-less goldenStateV1 via testdata/v1.snap.
 func goldenState() *State {
+	st := goldenStateV2()
+	st.Config.InflateMax = 1.75
+	st.Config.DPPasses = 3
+	st.Config.EnableChannelDerate = true
+	return st
+}
+
+func goldenStateV2() *State {
 	st := goldenStateV1()
 	st.Config = &RunConfig{
 		Model:            "wa",
@@ -64,7 +73,7 @@ func goldenStateV1() *State {
 }
 
 func TestGolden(t *testing.T) {
-	path := filepath.Join("testdata", "v2.snap")
+	path := filepath.Join("testdata", "v3.snap")
 	got := Encode(goldenState())
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -80,7 +89,7 @@ func TestGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("encoding of the golden state changed (%d bytes vs %d golden).\n"+
-			"The v2 schema is frozen: bump Version and add a new golden instead.",
+			"The v3 schema is frozen: bump Version and add a new golden instead.",
 			len(got), len(want))
 	}
 	st, err := Decode(want)
@@ -89,6 +98,23 @@ func TestGolden(t *testing.T) {
 	}
 	if !reflect.DeepEqual(st, goldenState()) {
 		t.Errorf("golden decode mismatch:\n got %+v\nwant %+v", st, goldenState())
+	}
+}
+
+// Checkpoints written by v2 builds must stay readable forever: the frozen
+// testdata/v2.snap (never regenerated) decodes to the golden state without
+// the v3 config fields.
+func TestGoldenV2Decode(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "v2.snap"))
+	if err != nil {
+		t.Fatalf("frozen v2 golden missing: %v", err)
+	}
+	st, err := Decode(want)
+	if err != nil {
+		t.Fatalf("decode v2 golden: %v", err)
+	}
+	if !reflect.DeepEqual(st, goldenStateV2()) {
+		t.Errorf("v2 golden decode mismatch:\n got %+v\nwant %+v", st, goldenStateV2())
 	}
 }
 
@@ -226,6 +252,7 @@ func TestDecodeRejectsNonFinite(t *testing.T) {
 		"inflate":        func(st *State, v float64) { st.Inflate[2] = v },
 		"route demand":   func(st *State, v float64) { st.Route.VHist[0] = v },
 		"target density": func(st *State, v float64) { st.Config.TargetDensity = v },
+		"inflate max":    func(st *State, v float64) { st.Config.InflateMax = v },
 	} {
 		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 			st := goldenState()
@@ -252,6 +279,9 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
+		if _, err := Decode(data); err != nil {
+			f.Fatalf("seed %s: %v", path, err)
+		}
 		f.Add(data[:len(data)-4])
 	}
 	fresh := Encode(goldenState())
@@ -274,7 +304,7 @@ func FuzzDecode(f *testing.F) {
 			floats = append(floats, r.HDem, r.VDem, r.HHist, r.VHist)
 		}
 		if c := st.Config; c != nil {
-			floats = append(floats, []float64{c.TargetDensity})
+			floats = append(floats, []float64{c.TargetDensity, c.InflateMax})
 		}
 		for _, fs := range floats {
 			for _, v := range fs {
