@@ -41,12 +41,15 @@ type Config struct {
 	TargetDensity float64 `json:"target_density"`
 
 	// Workers is the worker count for the parallel kernels (wirelength
-	// gradients, density penalty, global routing, detailed placement,
-	// legalization). 0 selects the shared automatic policy (internal/par:
-	// REPRO_WORKERS env override, else GOMAXPROCS capped); 1 forces serial
-	// evaluation. Placement results are deterministic for a fixed worker
-	// count, and routing, detailed-placement and legalization results are
-	// byte-identical for every worker count.
+	// and density penalty, global routing, detailed placement,
+	// legalization), at most MaxWorkers. 0 selects the shared automatic
+	// policy (internal/par: REPRO_WORKERS env override, else GOMAXPROCS
+	// capped); 1 forces serial evaluation. In global placement every
+	// level runs its kernels on up to Workers goroutines, but only levels
+	// of at least 2000 objects sum in Workers shards: placement results
+	// are deterministic for a fixed worker count, and routing,
+	// detailed-placement and legalization results are byte-identical for
+	// every worker count.
 	Workers int `json:"workers"`
 
 	// MaxLambdaRounds bounds the density-weight escalation (default 24).
@@ -175,8 +178,16 @@ const (
 	clusterMinObjs = 400
 )
 
+// MaxWorkers is the largest Config.Workers a run accepts; per-worker
+// state is allocated before any kernel runs, so the bound keeps an
+// untrusted config from choosing an allocation size.
+const MaxWorkers = 256
+
 // Validate rejects configurations the engine cannot honor.
 func (c Config) Validate() error {
+	if c.Workers < 0 || c.Workers > MaxWorkers {
+		return fmt.Errorf("core: workers %d outside [0,%d]", c.Workers, MaxWorkers)
+	}
 	switch c.Model {
 	case "", "wa", "lse":
 	default:

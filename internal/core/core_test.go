@@ -101,6 +101,14 @@ func TestInvalidConfigRejected(t *testing.T) {
 	if _, err := New(Config{TargetDensity: 1.5}); err == nil {
 		t.Error("bad target density accepted")
 	}
+	for _, w := range []int{-1, MaxWorkers + 1, 1 << 30} {
+		if _, err := New(Config{Workers: w}); err == nil {
+			t.Errorf("workers %d accepted", w)
+		}
+	}
+	if _, err := New(Config{Workers: MaxWorkers}); err != nil {
+		t.Errorf("workers %d rejected: %v", MaxWorkers, err)
+	}
 }
 
 func TestEmptyDesignRejected(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/bookshelf"
 	"repro/internal/db"
 	"repro/internal/gen"
+	"repro/internal/obs"
 )
 
 // estimateTestDesign builds the small congested design the estimate-mode
@@ -108,7 +109,11 @@ func TestEstimateModeRuns(t *testing.T) {
 
 // TestEstimateModeDeterministicAcrossWorkers pins that estimate-mode
 // placement — including the live-estimator DP guard — stays
-// byte-identical across worker counts, like the rest of the flow.
+// byte-identical across worker counts, like the rest of the flow. The
+// design is below the 2000 objects at which global placement shards its
+// sums, so its levels reduce in one shard at every worker count; at two
+// and eight workers some level must still run its kernels on more than
+// one thread, or the test would not cover a threaded GP kernel.
 func TestEstimateModeDeterministicAcrossWorkers(t *testing.T) {
 	cfg := func(w int) Config {
 		return Config{
@@ -120,8 +125,24 @@ func TestEstimateModeDeterministicAcrossWorkers(t *testing.T) {
 	}
 	ref := placePl(t, cfg(1))
 	for _, w := range []int{2, 8} {
-		if got := placePl(t, cfg(w)); !bytes.Equal(ref, got) {
+		c := cfg(w)
+		c.Obs = obs.New(obs.Config{})
+		if got := placePl(t, c); !bytes.Equal(ref, got) {
 			t.Fatalf("estimate-mode .pl differs between workers 1 and %d", w)
+		}
+		threaded := false
+		for _, s := range c.Obs.BuildReport().Spans {
+			if s.Name != "gp" {
+				continue
+			}
+			for _, lv := range s.Children {
+				if lv.Counters["threads"] > 1 && lv.Counters["shards"] == 1 {
+					threaded = true
+				}
+			}
+		}
+		if !threaded {
+			t.Errorf("workers=%d: no GP level ran on more than one thread over one shard", w)
 		}
 	}
 }

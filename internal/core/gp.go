@@ -10,7 +10,17 @@ import (
 	"repro/internal/geom"
 	"repro/internal/nlopt"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/wl"
+)
+
+const (
+	// shardMinObjs is the smallest level whose kernels reduce in Workers
+	// shards; smaller levels reduce in one, the serial order.
+	shardMinObjs = 2000
+	// minObjsPerThread is the fewest objects per goroutine a level's
+	// kernels run with.
+	minObjsPerThread = 128
 )
 
 // gpStats summarizes one level's global placement.
@@ -145,13 +155,19 @@ func newLevelSolver(cfg Config, p *cluster.Problem, die geom.Rect, fixed []geom.
 	if cfg.Model == "lse" {
 		model = wl.LSE
 	}
-	// Large levels evaluate in parallel; results stay deterministic for a
-	// fixed worker count (partition and reduction order are fixed).
-	workers := 1
-	if n >= 2000 && cfg.Workers != 1 {
-		workers = cfg.Workers
-		grid.SetWorkers(workers)
+	// Shards set the kernels' reduction order, so the bits: levels of at
+	// least shardMinObjs objects reduce in Workers shards, smaller ones in
+	// one. Threads only run the kernels and change no bit: every level
+	// gets Workers of them, as far as each keeps minObjsPerThread
+	// objects.
+	workers := par.Workers(cfg.Workers)
+	shards := 1
+	if n >= shardMinObjs {
+		shards = workers
 	}
+	threads := max(1, min(workers, n/minObjsPerThread))
+	grid.SetWorkers(shards)
+	grid.SetThreads(threads)
 	// project keeps every valued center inside the die.
 	reach := math.Max(math.Max(math.Abs(die.Lo.X), math.Abs(die.Hi.X)), math.Max(math.Abs(die.Lo.Y), math.Abs(die.Hi.Y)))
 	nl := &wl.Netlist{Nets: p.Nets, NumObjs: n}
@@ -159,11 +175,12 @@ func newLevelSolver(cfg Config, p *cluster.Problem, die geom.Rect, fixed []geom.
 		cfg: cfg, p: p, die: die, regions: regions,
 		grid: grid, ovGrid: ovGrid,
 		nl:     nl,
-		wlEval: wl.NewEvaluator(nl, model, gamma, workers, reach),
+		wlEval: wl.NewEvaluator(nl, model, gamma, shards, reach),
 		objs:   make([]density.Obj, n),
 		gdx:    make([]float64, n), gdy: make([]float64, n),
 		gfx: make([]float64, n), gfy: make([]float64, n),
 	}
+	s.wlEval.SetThreads(threads)
 	for i := 0; i < n; i++ {
 		s.objs[i] = density.Obj{HalfW: p.HalfW[i], HalfH: p.HalfH[i], Area: p.Area[i]}
 	}
@@ -418,6 +435,13 @@ func (s *levelSolver) solve(ctx context.Context, trace *Trace) gpStats {
 		stop = func() bool { return ctx.Err() != nil }
 	}
 
+	if s.span != nil {
+		// Effective counts: the wirelength value and the density
+		// gradient run on threads goroutines; the wirelength gradient and
+		// the density deposit on one per shard, as far as threads allow.
+		s.span.Add("threads", int64(s.wlEval.Threads()))
+		s.span.Add("shards", int64(s.wlEval.Shards()))
+	}
 	stats := gpStats{}
 	iterBase := 0
 	fenceTol := (s.grid.BinW + s.grid.BinH) / 2

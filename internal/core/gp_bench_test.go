@@ -91,43 +91,57 @@ func (r *trialRecorder) Value(v []float64, limit float64) float64 {
 
 func (r *trialRecorder) Gradient(grad []float64) { r.s.Gradient(grad) }
 
+// benchWorkers are the worker counts the level benchmarks run at; a
+// case at two workers carries the suffix "-w2".
+var benchWorkers = []struct {
+	workers int
+	suffix  string
+}{{1, ""}, {2, "-w2"}}
+
 // BenchmarkLevelValue times one objective value (WA wirelength, density
 // penalty and fence term) on sb-a, the CG line search's unit of work: at
 // the start point, and at a recorded rejected trial both in full
-// ("-trial") and against its Armijo limit ("-rejected").
+// ("-trial") and against its Armijo limit ("-rejected"), at one and two
+// workers.
 func BenchmarkLevelValue(b *testing.B) {
-	for _, lb := range levelBenches(b, 1) {
-		for _, c := range []struct {
-			name  string
-			v     []float64
-			limit float64
-		}{
-			{lb.name, lb.v, math.Inf(1)},
-			{lb.name + "-trial", lb.trial, math.Inf(1)},
-			{lb.name + "-rejected", lb.trial, lb.limit},
-		} {
-			b.Run(c.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for b.Loop() {
-					lb.s.Value(c.v, c.limit)
-				}
-			})
+	for _, bw := range benchWorkers {
+		for _, lb := range levelBenches(b, bw.workers) {
+			name := lb.name + bw.suffix
+			for _, c := range []struct {
+				name  string
+				v     []float64
+				limit float64
+			}{
+				{name, lb.v, math.Inf(1)},
+				{name + "-trial", lb.trial, math.Inf(1)},
+				{name + "-rejected", lb.trial, lb.limit},
+			} {
+				b.Run(c.name, func(b *testing.B) {
+					b.ReportAllocs()
+					for b.Loop() {
+						lb.s.Value(c.v, c.limit)
+					}
+				})
+			}
 		}
 	}
 }
 
 // BenchmarkLevelGradient times one gradient at the point of the last
-// value evaluation, the other half of a CG iteration.
+// value evaluation, the other half of a CG iteration, at one and two
+// workers.
 func BenchmarkLevelGradient(b *testing.B) {
-	for _, lb := range levelBenches(b, 1) {
-		b.Run(lb.name, func(b *testing.B) {
-			grad := make([]float64, len(lb.v))
-			lb.s.Value(lb.v, math.Inf(1))
-			b.ReportAllocs()
-			for b.Loop() {
-				clear(grad)
-				lb.s.Gradient(grad)
-			}
-		})
+	for _, bw := range benchWorkers {
+		for _, lb := range levelBenches(b, bw.workers) {
+			b.Run(lb.name+bw.suffix, func(b *testing.B) {
+				grad := make([]float64, len(lb.v))
+				lb.s.Value(lb.v, math.Inf(1))
+				b.ReportAllocs()
+				for b.Loop() {
+					clear(grad)
+					lb.s.Gradient(grad)
+				}
+			})
+		}
 	}
 }

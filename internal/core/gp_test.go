@@ -92,3 +92,35 @@ func TestValueNaNTermNeverCuts(t *testing.T) {
 }
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// TestLevelThreadsKeepBits overrides the thread count of sb-a's finest
+// and coarsest level solvers, at one and two workers, and requires the
+// one-thread bits of the objective at the start point, of the gradient
+// there, and of a recorded rejected trial valued in full and against its
+// Armijo limit.
+func TestLevelThreadsKeepBits(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		for _, lb := range levelBenches(t, workers) {
+			s := lb.s
+			eval := func(threads int) []float64 {
+				s.wlEval.SetThreads(threads)
+				s.grid.SetThreads(threads)
+				out := []float64{s.Value(lb.trial, math.Inf(1)), s.Value(lb.trial, lb.limit), s.Value(lb.v, math.Inf(1))}
+				grad := make([]float64, len(lb.v))
+				s.Gradient(grad)
+				return append(out, grad...)
+			}
+			want := eval(1)
+			if !(want[1] > lb.limit) {
+				t.Fatalf("%s w=%d: the recorded trial %v is not above its limit %v", lb.name, workers, want[1], lb.limit)
+			}
+			for _, threads := range []int{2, 3, 8} {
+				for i, v := range eval(threads) {
+					if !sameBits(v, want[i]) {
+						t.Fatalf("%s w=%d threads=%d: output %d is %v, one thread %v", lb.name, workers, threads, i, v, want[i])
+					}
+				}
+			}
+		}
+	}
+}

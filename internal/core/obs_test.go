@@ -77,7 +77,8 @@ type resultSnapshot struct {
 // per iteration that reached the line search (all but possibly the
 // last), no run cuts more values than it makes, and Result.ValueEvals
 // and Result.ValueCuts sum the main GP levels and the routability
-// respreads.
+// respreads. Every level and respread span also says how many threads
+// and shards its kernels ran with.
 func TestValueEvalsReported(t *testing.T) {
 	d := gen.MustGenerate(smallCfg())
 	rec := obs.New(obs.Config{})
@@ -97,12 +98,18 @@ func TestValueEvalsReported(t *testing.T) {
 		sum += evals
 		cutSum += cuts
 	}
+	checkParallel := func(r *obs.SpanRecord) {
+		if r.Counters["threads"] < 1 || r.Counters["shards"] < 1 {
+			t.Errorf("%s: threads %d, shards %d", r.Name, r.Counters["threads"], r.Counters["shards"])
+		}
+	}
 	levels := 0
 	for _, s := range rec.BuildReport().Spans {
 		switch s.Name {
 		case "gp":
 			for _, lv := range s.Children {
 				levels++
+				checkParallel(lv)
 				var rounds, roundCuts int64
 				for _, r := range lv.Children {
 					checkRound(r)
@@ -120,6 +127,7 @@ func TestValueEvalsReported(t *testing.T) {
 			for _, it := range s.Children {
 				for _, c := range it.Children {
 					if c.Name == "respread" {
+						checkParallel(c)
 						for _, r := range c.Children {
 							checkRound(r)
 						}

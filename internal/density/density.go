@@ -16,6 +16,10 @@
 // never vanish. Per-object normalization keeps the deposited area exactly
 // equal to the object's (inflated) area, so total area is conserved no
 // matter the bell shapes.
+//
+// The penalty kernels run on several goroutines (Grid.SetThreads) without
+// changing a bit: a shard count (Grid.SetWorkers) alone fixes the order
+// each bin's deposits are summed in (see penalty.go).
 package density
 
 import (
@@ -49,10 +53,12 @@ type Grid struct {
 	// call deposited; PenaltyGradient reads it.
 	demand []float64
 
-	// workers > 1 enables the parallel kernels (see SetWorkers); scratch
-	// holds one bellScratch per worker, at least one.
-	workers int
-	scratch []bellScratch
+	// shards fixes the order the deposit is summed in (SetWorkers) and
+	// threads how many goroutines run the kernels (SetThreads); scratch
+	// holds one bellScratch per goroutine a kernel ran on, or per shard
+	// for a sharded deposit.
+	shards, threads int
+	scratch         []bellScratch
 }
 
 // NewGrid builds an nx×ny grid over die with the given target density.
@@ -69,10 +75,10 @@ func NewGrid(die geom.Rect, nx, ny int, target float64) *Grid {
 	g := &Grid{
 		Die: die, NX: nx, NY: ny,
 		BinW: die.W() / float64(nx), BinH: die.H() / float64(ny),
-		Target:  target,
-		base:    make([]float64, nx*ny),
-		demand:  make([]float64, nx*ny),
-		scratch: make([]bellScratch, 1),
+		Target: target,
+		base:   make([]float64, nx*ny),
+		demand: make([]float64, nx*ny),
+		shards: 1, threads: 1,
 	}
 	g.recomputeCap()
 	return g

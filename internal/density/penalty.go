@@ -6,38 +6,66 @@ import (
 	"repro/internal/par"
 )
 
-// The penalty kernels run over contiguous object ranges; the serial path
-// is the one-worker case. With w > 1 workers, objects are partitioned
-// into w equal ranges, each worker deposits into a private demand slab,
-// and the slabs are summed in worker order over disjoint bin ranges —
-// deterministic for a fixed worker count, and equal to the serial demand
-// up to floating-point reassociation.
+// Two counts shape the penalty kernels, and only one of them the bits:
+//   - shards fixes the order each bin's deposits are summed in. Objects
+//     are split into that many contiguous equal ranges; each range
+//     deposits into its own demand slab, from zero in object order, and
+//     the slabs are summed in range order over disjoint bin ranges. One
+//     shard is the plain object-order deposit, straight into the demand
+//     map.
+//   - threads is how many goroutines run a kernel (SetThreads). It never
+//     changes a bit. The deposit runs one goroutine per shard, as far as
+//     there are threads. The gradient has one writer per object, so it
+//     runs on every thread, over chunks of objects taken as threads come
+//     free.
+//
+// So results are deterministic for a fixed shard count at any thread
+// count; across shard counts they differ only by floating-point
+// reassociation.
 
-// bellScratch is one worker's scratch: bell values and slopes per axis
-// and, for parallel deposits, a private demand slab.
+// bellScratch is one goroutine's scratch: bell values and slopes per axis
+// and, for a sharded deposit, its shard's demand slab.
 type bellScratch struct {
 	px, dpx, py, dpy []float64
 	demand           []float64
 }
 
-// SetWorkers enables parallel penalty evaluation with the given worker
-// count (≤ 0 selects the shared automatic policy — par.Workers, honoring
-// the REPRO_WORKERS override; 1 restores serial evaluation). Inputs with
-// fewer than 4 objects per worker evaluate serially.
+// chunksPerThread is how many chunks each thread's share of the gradient
+// is cut into. Threads take chunks as they come free, so a thread that
+// starts late — waking an idle processor can take longer than a small
+// kernel runs — leaves its share to the others.
+const chunksPerThread = 4
+
+// SetWorkers sets the shard count, and so the bits of the penalty and
+// its gradient, and the thread count (see SetThreads) to w (≤ 0 selects
+// the shared automatic policy — par.Workers, honoring the REPRO_WORKERS
+// override; 1 restores serial evaluation). Inputs with fewer than 4
+// objects per shard deposit as one shard.
 func (g *Grid) SetWorkers(w int) {
-	w = par.Workers(w)
-	g.workers = w
-	if len(g.scratch) < w {
-		g.scratch = append(g.scratch, make([]bellScratch, w-len(g.scratch))...)
-	}
+	g.shards = par.Workers(w)
+	g.threads = g.shards
 }
 
-// workersFor returns the worker count the kernels use for n objects.
-func (g *Grid) workersFor(n int) int {
-	if g.workers > 1 && n >= 4*g.workers {
-		return g.workers
+// SetThreads sets how many goroutines run the kernels (≤ 0 selects
+// par.Workers): for the deposit at most one per shard, for the gradient
+// at most one per object. It changes no bit of the penalty or its
+// gradient.
+func (g *Grid) SetThreads(t int) { g.threads = par.Workers(t) }
+
+// shardsFor returns the shard count the kernels use for n objects.
+func (g *Grid) shardsFor(n int) int {
+	if g.shards > 1 && n >= 4*g.shards {
+		return g.shards
 	}
 	return 1
+}
+
+// scratchFor returns t bellScratch, allocating them on first use.
+func (g *Grid) scratchFor(t int) []bellScratch {
+	if len(g.scratch) < t {
+		g.scratch = append(g.scratch, make([]bellScratch, t-len(g.scratch))...)
+	}
+	return g.scratch[:t]
 }
 
 // Penalty evaluates the density penalty Σ_b (D_b − M_b)² over the objects
@@ -45,26 +73,27 @@ func (g *Grid) workersFor(n int) int {
 // so PenaltyGradient at the same positions needs no second deposit.
 func (g *Grid) Penalty(objs []Obj, x, y []float64) float64 {
 	n := len(objs)
-	if w := g.workersFor(n); w == 1 {
+	if k := g.shardsFor(n); k == 1 {
 		clear(g.demand)
-		g.depositRange(objs, x, y, 0, n, g.demand, &g.scratch[0])
+		g.depositRange(objs, x, y, 0, n, g.demand, &g.scratchFor(1)[0])
 	} else {
-		nb := len(g.demand)
-		par.For(w, w, func(k int) {
-			scr := &g.scratch[k]
-			if len(scr.demand) < nb {
-				scr.demand = make([]float64, nb)
+		nb, w := len(g.demand), min(k, g.threads)
+		scr := g.scratchFor(k)
+		par.For(k, w, func(s int) {
+			sc := &scr[s]
+			if len(sc.demand) < nb {
+				sc.demand = make([]float64, nb)
 			}
-			dst := scr.demand[:nb]
+			dst := sc.demand[:nb]
 			clear(dst)
-			g.depositRange(objs, x, y, n*k/w, n*(k+1)/w, dst, scr)
+			g.depositRange(objs, x, y, n*s/k, n*(s+1)/k, dst, sc)
 		})
-		par.For(w, w, func(k int) {
-			lo, hi := nb*k/w, nb*(k+1)/w
+		par.For(w, w, func(j int) {
+			lo, hi := nb*j/w, nb*(j+1)/w
 			dem := g.demand[lo:hi]
 			clear(dem)
-			for j := 0; j < w; j++ {
-				slab := g.scratch[j].demand[lo:hi]
+			for s := range scr {
+				slab := scr[s].demand[lo:hi]
 				for i := range dem {
 					dem[i] += slab[i]
 				}
@@ -92,13 +121,15 @@ func (g *Grid) Penalty(objs []Obj, x, y []float64) float64 {
 // differentiated rather than approximated away.
 func (g *Grid) PenaltyGradient(objs []Obj, x, y []float64, gx, gy []float64) {
 	n := len(objs)
-	w := g.workersFor(n)
-	if w == 1 {
-		g.gradientRange(objs, x, y, 0, n, gx, gy, &g.scratch[0])
+	t := max(1, min(g.threads, n))
+	scr := g.scratchFor(t)
+	if t == 1 {
+		g.gradientRange(objs, x, y, 0, n, gx, gy, &scr[0])
 		return
 	}
-	par.For(w, w, func(k int) {
-		g.gradientRange(objs, x, y, n*k/w, n*(k+1)/w, gx, gy, &g.scratch[k])
+	c := min(t*chunksPerThread, n)
+	par.ForWorker(c, t, func(w, j int) {
+		g.gradientRange(objs, x, y, n*j/c, n*(j+1)/c, gx, gy, &scr[w])
 	})
 }
 

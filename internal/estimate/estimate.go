@@ -221,15 +221,21 @@ func addBoxInto(h, v []int64, e *Estimator, bb geom.Rect, w float64, sign int64)
 	})
 }
 
+// recomputeMinNets is the fewest nets per chunk a sharded Recompute
+// runs with.
+const recomputeMinNets = 128
+
 // Recompute rebuilds the demand map from the design's current positions:
 // one RUDY box per net of degree ≥ 2 (net weight honored, 0 → 1) plus
 // per-pin escape demand. With more than one worker the nets and pins are
 // sharded over per-chunk integer accumulators and merged, which is
-// bitwise-identical to the serial pass.
+// bitwise-identical to the serial pass; each chunk gets at least
+// recomputeMinNets nets, so the chunks allocated follow the design, not
+// the worker count alone.
 func (e *Estimator) Recompute(d *db.Design) {
 	e.Reset()
-	w := e.workers
-	if w <= 1 || len(d.Nets) < 256 {
+	w := min(e.workers, len(d.Nets)/recomputeMinNets)
+	if w <= 1 {
 		e.recomputeChunk(d, e.hDem, e.vDem, 0, 1)
 		return
 	}

@@ -565,6 +565,7 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		{"path jobs disabled", `{"aux": "x.aux"}`, http.StatusBadRequest},
 		{"bad placer config", `{"synth": "sb-a", "config": {"Model": "bogus"}}`, http.StatusBadRequest},
 		{"removed config key", `{"synth":"sb-a","config":{"gamma_factor":0.8}}`, http.StatusBadRequest},
+		{"workers over the cap", `{"synth":"sb-a","config":{"workers":1073741824}}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(c.body))

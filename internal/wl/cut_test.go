@@ -99,17 +99,29 @@ func TestWATermsWithinSlack(t *testing.T) {
 // FuzzValueCut checks Value's limit contract on small netlists of
 // near-coincident and fixed pins: the value with a limit is the uncut
 // value bit for bit, or the uncut value exceeds the limit and so does the
-// returned one.
+// returned one. shards and threads pick 1–8 each; the uncut value is
+// taken on one thread.
 func FuzzValueCut(f *testing.F) {
-	f.Add(int64(1), 1e4, 1e-9, 1.0, 0.0, uint8(1), false)
-	f.Add(int64(2), 1e4, 1e-12, 0.1, -1e-9, uint8(2), false)
-	f.Add(int64(3), 600.0, 1e-3, 10.0, -0.5, uint8(3), false)
-	f.Add(int64(4), 1e6, 1e-14, 1e-3, 1e-12, uint8(1), true)
-	f.Add(int64(5), 50.0, 0.5, 2.0, -0.999, uint8(4), false)
+	f.Add(int64(1), 1e4, 1e-9, 1.0, 0.0, uint8(1), uint8(1), false)
+	f.Add(int64(2), 1e4, 1e-12, 0.1, -1e-9, uint8(2), uint8(2), false)
+	f.Add(int64(3), 600.0, 1e-3, 10.0, -0.5, uint8(3), uint8(3), false)
+	f.Add(int64(4), 1e6, 1e-14, 1e-3, 1e-12, uint8(1), uint8(1), true)
+	f.Add(int64(5), 50.0, 0.5, 2.0, -0.999, uint8(4), uint8(4), false)
 	// Three shards of nets that nearly vanish: a partial sum runs above
 	// the total, so a cut without the slack would be wrong here.
-	f.Add(int64(45), 5e5, 1e-14, 1e-3, 1e-12, uint8(2), false)
-	f.Fuzz(func(t *testing.T, seed int64, scale, jitter, gamma, rel float64, workers uint8, lse bool) {
+	f.Add(int64(45), 5e5, 1e-14, 1e-3, 1e-12, uint8(2), uint8(2), false)
+	// Threads that do not match the shards: one shard on two, three and
+	// eight threads, and two shards on one and three.
+	f.Add(int64(6), 1e4, 1e-12, 0.1, -1e-9, uint8(0), uint8(1), false)
+	f.Add(int64(7), 5e5, 1e-14, 1e-3, 1e-12, uint8(0), uint8(2), false)
+	f.Add(int64(8), 600.0, 1e-3, 10.0, -0.5, uint8(0), uint8(7), true)
+	f.Add(int64(9), 1e6, 1e-14, 1e-3, 1e-12, uint8(1), uint8(0), false)
+	f.Add(int64(10), 50.0, 0.5, 2.0, -0.999, uint8(1), uint8(2), false)
+	// Three threads over nets that nearly vanish: the sum of the
+	// published partials runs above the total, so a cut without the
+	// slack would be wrong here.
+	f.Add(int64(45), 5e5, 1.25e-15, 1e-3, 1e-12, uint8(2), uint8(2), false)
+	f.Fuzz(func(t *testing.T, seed int64, scale, jitter, gamma, rel float64, shards, threads uint8, lse bool) {
 		for _, v := range []float64{scale, jitter, gamma, rel} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return
@@ -124,16 +136,20 @@ func FuzzValueCut(f *testing.F) {
 		if lse {
 			m = LSE
 		}
-		w := 1 + int(workers%8)
+		k, th := 1+int(shards%8), 1+int(threads%8)
 		var reach float64
 		for i := range x {
 			reach = math.Max(reach, math.Max(math.Abs(x[i]), math.Abs(y[i])))
 		}
-		full := NewEvaluator(nl, m, gamma, w, math.Inf(1)).Value(x, y, math.Inf(1))
+		uncut := NewEvaluator(nl, m, gamma, k, math.Inf(1))
+		uncut.SetThreads(1)
+		full := uncut.Value(x, y, math.Inf(1))
 		limit := full + rel*math.Abs(full)
-		got := NewEvaluator(nl, m, gamma, w, reach).Value(x, y, limit)
+		e := NewEvaluator(nl, m, gamma, k, reach)
+		e.SetThreads(th)
+		got := e.Value(x, y, limit)
 		if !sameBits(got, full) && !(full > limit && got > limit) {
-			t.Fatalf("limit %v: got %v, uncut value %v (workers %d, %s)", limit, got, full, w, m)
+			t.Fatalf("limit %v: got %v, uncut value %v (shards %d, threads %d, %s)", limit, got, full, e.shards, e.threads, m)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package wl
 
 import (
 	"math"
+	"sort"
 	"sync/atomic"
 
 	"repro/internal/par"
@@ -25,13 +26,25 @@ import (
 // sum is bit-identical to computing all 2·degree exponentials (γ > 0,
 // finite coordinates).
 //
-// With more than one worker, nets are partitioned into contiguous equal
-// ranges, each worker accumulates a private gradient buffer, and the
-// buffers are reduced in worker order over disjoint object slabs. Results
-// are deterministic for a fixed worker count; across worker counts they
-// differ only by floating-point reassociation.
+// Two counts shape the parallel kernels, and only one of them the bits:
+//   - shards fixes the reduction order. Nets are split into that many
+//     contiguous equal ranges; the value sums each range from zero and
+//     adds the range sums in order, and each object's gradient adds the
+//     terms of each range, summed from zero in pin order, in range order.
+//     One shard is the plain running sum.
+//   - threads is how many goroutines run a kernel (SetThreads). It never
+//     changes a bit. The value runs on every thread: each values chunks
+//     of nets into per-net slots, and one goroutine sums the slots in
+//     shard order. The gradient scatters each shard's terms into the
+//     shard's own buffer, on as many goroutines as there are shards and
+//     threads, and adds the buffers in shard order; over one shard it is
+//     the plain scatter, on one goroutine.
 //
-// Value takes a limit and stops summing once the partial sum proves the
+// So results are deterministic for a fixed shard count at any thread
+// count; across shard counts they differ only by floating-point
+// reassociation. One thread over one shard runs the plain loops.
+//
+// Value takes a limit and stops summing once the partial sums prove the
 // total exceeds it (see Value and Slack).
 //
 // The evaluator snapshots the netlist (weights included): build a new one
@@ -39,10 +52,13 @@ import (
 type Evaluator struct {
 	model   Model
 	gamma   float64
-	workers int
 	numObjs int
+	shards  int
+	threads int
+	// reach bounds the coordinates Value is given a finite limit for;
 	// slack bounds how far the terms not yet summed, and the additions
 	// still to come, can pull any partial sum down (see Slack).
+	reach float64
 	slack float64
 	cuts  int
 
@@ -52,8 +68,19 @@ type Evaluator struct {
 	obj    []int32   // owning object per pin, or Fixed
 	ax, ay axis
 
-	shards []float64   // per-worker partial values
-	bufs   [][]float64 // per-worker [2n] gradient buffers
+	// The slot value's state, built when a thread or shard count above
+	// one first asks for it. slot holds net k's weighted x and y values
+	// at 2k and 2k+1; nets of degree < 2 keep +0 there. The threads take
+	// chunks as they come free, chunksPerThread per thread: chunk c values
+	// nets netCut[c]:netCut[c+1], and the cuts balance pin counts. pub
+	// holds each chunk's published partial sum.
+	slot   []float64
+	netCut []int
+	pub    []published
+
+	// bufs holds one [2n] gradient buffer per shard when there is more
+	// than one.
+	bufs [][]float64
 }
 
 // axis is one coordinate axis of the flattened pins plus the cache the
@@ -75,11 +102,28 @@ type netSums struct {
 	maxTerm, minTerm float64
 }
 
+// published is one chunk's partial sum, alone on its cache line.
+type published struct {
+	bits atomic.Uint64
+	_    [56]byte
+}
+
+// publishEvery is how many nets a chunk values between publishing its
+// partial sum and checking the sum of all published partials.
+const publishEvery = 64
+
+// chunksPerThread is how many chunks each thread's share of the value is
+// cut into. Threads take chunks as they come free, so a thread that
+// starts late — waking an idle processor can take longer than a small
+// kernel runs — leaves its share to the others.
+const chunksPerThread = 4
+
 // NewEvaluator flattens nl for model m with smoothing parameter gamma.
-// workers ≤ 0 selects the shared automatic policy (par.Workers); netlists
-// with fewer than 4 nets per worker evaluate serially. reach bounds
-// |x[i]| and |y[i]| at every point Value is given a finite limit for;
-// +Inf turns the early stop off.
+// workers sets the shard count, and so the bits of every result, and
+// the initial thread count (see SetThreads); ≤ 0 selects the shared
+// automatic policy (par.Workers). Netlists with fewer than 4 nets per
+// shard reduce as one shard. reach bounds |x[i]| and |y[i]| at every
+// point Value is given a finite limit for; +Inf turns the early stop off.
 func NewEvaluator(nl *Netlist, m Model, gamma float64, workers int, reach float64) *Evaluator {
 	pins := 0
 	for i := range nl.Nets {
@@ -87,12 +131,13 @@ func NewEvaluator(nl *Netlist, m Model, gamma float64, workers int, reach float6
 	}
 	e := &Evaluator{
 		model: m, gamma: gamma, numObjs: nl.NumObjs,
-		workers: par.Workers(workers),
-		start:   make([]int32, 0, len(nl.Nets)+1),
-		weight:  make([]float64, len(nl.Nets)),
-		obj:     make([]int32, 0, pins),
-		ax:      newAxis(pins, len(nl.Nets)),
-		ay:      newAxis(pins, len(nl.Nets)),
+		shards: par.Workers(workers),
+		reach:  reach,
+		start:  make([]int32, 0, len(nl.Nets)+1),
+		weight: make([]float64, len(nl.Nets)),
+		obj:    make([]int32, 0, pins),
+		ax:     newAxis(pins, len(nl.Nets)),
+		ay:     newAxis(pins, len(nl.Nets)),
 	}
 	for k := range nl.Nets {
 		net := &nl.Nets[k]
@@ -108,17 +153,16 @@ func NewEvaluator(nl *Netlist, m Model, gamma float64, workers int, reach float6
 		}
 	}
 	e.start = append(e.start, int32(len(e.obj)))
-	if len(nl.Nets) < 4*e.workers {
-		e.workers = 1
+	if len(nl.Nets) < 4*e.shards {
+		e.shards = 1
 	}
-	e.slack = e.deriveSlack(reach)
-	if e.workers > 1 {
-		e.shards = make([]float64, e.workers)
-		e.bufs = make([][]float64, e.workers)
+	if e.shards > 1 {
+		e.bufs = make([][]float64, e.shards)
 		for k := range e.bufs {
 			e.bufs[k] = make([]float64, 2*nl.NumObjs)
 		}
 	}
+	e.SetThreads(e.shards)
 	return e
 }
 
@@ -132,10 +176,57 @@ func newAxis(pins, nets int) axis {
 	}
 }
 
-// netRange returns worker k's contiguous net range.
-func (e *Evaluator) netRange(k int) (int, int) {
+// SetThreads sets how many goroutines run Value, at most one per net, and
+// Gradient, at most one per shard; n ≤ 0 selects the shared automatic
+// policy (par.Workers). No value, cut-free or not, and no gradient changes
+// a bit: the shard count fixed at construction sets every reduction
+// order. Slack grows with the thread count, and which rejected values
+// stop early depends on thread scheduling.
+func (e *Evaluator) SetThreads(n int) {
+	e.threads = max(1, min(par.Workers(n), len(e.weight)))
+	if !e.plain() {
+		if e.slot == nil {
+			e.slot = make([]float64, 2*len(e.weight))
+		}
+		e.cutChunks()
+	}
+	e.slack = e.deriveSlack(e.reach)
+}
+
+// Threads returns the thread count SetThreads settled on.
+func (e *Evaluator) Threads() int { return e.threads }
+
+// Shards returns how many net ranges Value and Gradient reduce in.
+func (e *Evaluator) Shards() int { return e.shards }
+
+// chunks returns how many chunks the slot value runs in.
+func (e *Evaluator) chunks() int {
+	if e.threads == 1 {
+		return 1
+	}
+	return min(e.threads*chunksPerThread, len(e.weight))
+}
+
+// plain reports whether the kernels run the plain loops: one thread over
+// one shard.
+func (e *Evaluator) plain() bool { return e.threads == 1 && e.shards == 1 }
+
+// shardRange returns shard k's contiguous net range.
+func (e *Evaluator) shardRange(k int) (int, int) {
 	nets := len(e.weight)
-	return nets * k / e.workers, nets * (k + 1) / e.workers
+	return nets * k / e.shards, nets * (k + 1) / e.shards
+}
+
+// cutChunks splits the nets into the slot value's chunks, of about equal
+// pin counts.
+func (e *Evaluator) cutChunks() {
+	c, nets, pins := e.chunks(), len(e.weight), len(e.obj)
+	e.netCut = make([]int, c+1)
+	e.pub = make([]published, c)
+	for k := 1; k < c; k++ {
+		e.netCut[k] = sort.Search(nets, func(i int) bool { return int(e.start[i]) >= pins*k/c })
+	}
+	e.netCut[c] = nets
 }
 
 // Value returns the total weighted wirelength WL at object centers
@@ -145,41 +236,35 @@ func (e *Evaluator) netRange(k int) (int, int) {
 // then incomplete, so Gradient needs a Value call that was not cut.
 // +Inf and NaN limits never cut.
 //
-// With several workers each checks its own shard's partial sum against
-// the same bar: Slack covers the other shards' terms and the shard
-// reduction too. The first to cross it stops all, and a value that is
-// not cut is the sum the uncut call returns.
+// On one thread over one shard that partial sum is the running total.
+// Otherwise every chunk publishes its own running partial every
+// publishEvery nets, and any thread stops all once the sum of the
+// published partials crosses the bar: Slack covers the other terms, the
+// additions inside the published sum and the shard-order reduction too.
+// A value that is not cut is the sum the uncut call returns.
 func (e *Evaluator) Value(x, y []float64, limit float64) float64 {
 	bar := math.Inf(1)
 	if limit < bar {
 		// Round up, so a partial sum above bar is above limit + slack.
 		bar = math.Nextafter(limit+e.slack, math.Inf(1))
 	}
-	if e.workers == 1 {
-		total, done := e.valueRange(0, len(e.weight), x, y, bar, nil)
-		if !done {
-			e.cuts++
-			return math.Inf(1)
-		}
-		return total
+	var total float64
+	var done bool
+	if e.plain() {
+		total, done = e.runningValue(x, y, bar)
+	} else {
+		total, done = e.slotValue(x, y, bar)
 	}
-	var stop atomic.Bool
-	par.For(e.workers, e.workers, func(k int) {
-		lo, hi := e.netRange(k)
-		e.shards[k], _ = e.valueRange(lo, hi, x, y, bar, &stop)
-	})
-	if stop.Load() {
+	if !done {
 		e.cuts++
 		return math.Inf(1)
-	}
-	var total float64
-	for _, s := range e.shards {
-		total += s
 	}
 	return total
 }
 
-// Cuts returns how many Value calls so far stopped early.
+// Cuts returns how many Value calls so far stopped early. On more than
+// one thread it counts work saved, not a result: which rejected values
+// stop early then depends on thread scheduling.
 func (e *Evaluator) Cuts() int { return e.cuts }
 
 // Slack returns the bound on how far the terms not yet summed, and the
@@ -188,29 +273,83 @@ func (e *Evaluator) Cuts() int { return e.cuts }
 // weighted-average terms are ≥ 0 only in exact arithmetic.
 func (e *Evaluator) Slack() float64 { return e.slack }
 
-// valueRange sums nets [lo, hi). It reports false, with the sum so far,
-// once the sum exceeds bar or stop is set; crossing bar sets stop.
-func (e *Evaluator) valueRange(lo, hi int, x, y []float64, bar float64, stop *atomic.Bool) (float64, bool) {
+// runningValue sums every net in order. It reports false, with the sum
+// so far, once the sum exceeds bar. The conversions round each weighted
+// value before it is added, as storing it in a slot does, so no platform
+// fuses the product into the sum and both paths keep the same bits.
+func (e *Evaluator) runningValue(x, y []float64, bar float64) (float64, bool) {
 	var total float64
-	for k := lo; k < hi; k++ {
+	for k := range e.weight {
 		p0, p1 := e.start[k], e.start[k+1]
 		if p1-p0 < 2 {
 			continue
 		}
 		w := e.weight[k]
-		total += w * e.axisValue(k, p0, p1, x, &e.ax)
-		total += w * e.axisValue(k, p0, p1, y, &e.ay)
+		total += float64(w * e.axisValue(k, p0, p1, x, &e.ax))
+		total += float64(w * e.axisValue(k, p0, p1, y, &e.ay))
 		if total > bar {
-			if stop != nil {
-				stop.Store(true)
-			}
-			return total, false
-		}
-		if stop != nil && stop.Load() {
 			return total, false
 		}
 	}
 	return total, true
+}
+
+// slotValue is Value on the slots: the threads value chunks of
+// nets into the slots, publishing the chunks' partial sums as they go,
+// and the slots are summed in shard order. A shard's slots summed from
+// zero are the shard's running sum: the +0 slots of nets of degree < 2
+// add nothing to a sum that starts at +0.
+func (e *Evaluator) slotValue(x, y []float64, bar float64) (float64, bool) {
+	for c := range e.pub {
+		e.pub[c].bits.Store(0)
+	}
+	var stop atomic.Bool
+	cut := bar < math.Inf(1)
+	par.For(len(e.pub), e.threads, func(c int) {
+		var part float64
+		lo, hi := e.netCut[c], e.netCut[c+1]
+		for k := lo; k < hi; k++ {
+			p0, p1 := e.start[k], e.start[k+1]
+			if p1-p0 >= 2 {
+				w := e.weight[k]
+				vx := float64(w * e.axisValue(k, p0, p1, x, &e.ax))
+				vy := float64(w * e.axisValue(k, p0, p1, y, &e.ay))
+				e.slot[2*k], e.slot[2*k+1] = vx, vy
+				part += vx
+				part += vy
+			}
+			if cut && ((k-lo)%publishEvery == publishEvery-1 || k == hi-1) {
+				if stop.Load() || e.publish(c, part, bar) {
+					stop.Store(true)
+					return
+				}
+			}
+		}
+	})
+	if stop.Load() {
+		return 0, false
+	}
+	var total float64
+	for s := 0; s < e.shards; s++ {
+		lo, hi := e.shardRange(s)
+		var sum float64
+		for _, v := range e.slot[2*lo : 2*hi] {
+			sum += v
+		}
+		total += sum
+	}
+	return total, true
+}
+
+// publish stores chunk c's partial sum and reports whether the sum of
+// every chunk's published partial, added in chunk order, exceeds bar.
+func (e *Evaluator) publish(c int, part, bar float64) bool {
+	e.pub[c].bits.Store(math.Float64bits(part))
+	var sum float64
+	for i := range e.pub {
+		sum += math.Float64frombits(e.pub[i].bits.Load())
+	}
+	return sum > bar
 }
 
 // axisValue evaluates net k on one axis and caches its pins'
@@ -318,24 +457,24 @@ func (e *Evaluator) netValue(s *netSums, lo, hi, sPos, nPos, sNeg, nNeg float64)
 
 // Gradient adds ∂WL/∂x and ∂WL/∂y at the point of the most recent Value
 // call into gx and gy. It reads only the cache Value left, so it must
-// follow a Value call.
+// follow a Value call that was not cut.
 func (e *Evaluator) Gradient(gx, gy []float64) {
-	if e.workers == 1 {
+	if e.shards == 1 {
 		e.gradientRange(0, len(e.weight), gx, gy)
 		return
 	}
-	n := e.numObjs
-	par.For(e.workers, e.workers, func(k int) {
+	n, g := e.numObjs, min(e.shards, e.threads)
+	par.For(e.shards, g, func(k int) {
 		buf := e.bufs[k]
 		clear(buf)
-		lo, hi := e.netRange(k)
+		lo, hi := e.shardRange(k)
 		e.gradientRange(lo, hi, buf[:n], buf[n:])
 	})
-	// Reduce over object slabs: each worker owns a disjoint index range,
-	// so there is no write contention, and every slot adds the buffers in
-	// worker order.
-	par.For(e.workers, e.workers, func(k int) {
-		lo, hi := n*k/e.workers, n*(k+1)/e.workers
+	// Reduce over object slabs: each goroutine owns a disjoint index
+	// range, so there is no write contention, and every slot adds the
+	// buffers in shard order.
+	par.For(g, g, func(k int) {
+		lo, hi := n*k/g, n*(k+1)/g
 		for _, buf := range e.bufs {
 			for i := lo; i < hi; i++ {
 				gx[i] += buf[i]

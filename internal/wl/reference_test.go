@@ -299,8 +299,8 @@ func TestEvaluatorMatchesReference(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/gamma=%v/w=%d", tc.m, tc.gamma, workers), func(t *testing.T) {
 				ref := refParallel{model: tc.ref, workers: workers}
 				e := NewEvaluator(nl, tc.m, tc.gamma, workers, reach)
-				if e.workers != workers {
-					t.Fatalf("evaluator runs %d workers, want %d", e.workers, workers)
+				if e.shards != workers {
+					t.Fatalf("evaluator reduces %d shards, want %d", e.shards, workers)
 				}
 				for _, pt := range [][2][]float64{{x, y}, {x2, y2}} {
 					px, py := pt[0], pt[1]

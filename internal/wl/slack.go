@@ -40,14 +40,18 @@ func termSlack(w float64, deg int, v float64) float64 {
 // 2·termSlack over the nets (WA only), bounds how far all terms together
 // reach below zero, and W, the sum of 2·w_k·(2·v_k + 2γ·deg_k), bounds
 // every partial sum's magnitude: a WA term is at most the net's spread,
-// an LSE term adds γ·ln deg per extreme. Each of the m = 2·nets +
-// workers + 1 additions, within a shard or across the shard reduction,
-// rounds by at most u·(W + S). Rounding is monotone, so a partial sum P
-// — a whole shard's, or one shard's prefix — ends in a total
-// ≥ P − S − m·u·(W + S). The slack doubles that bound to cover its own
-// rounding. A weight that is not positive and finite voids the
-// argument, and so does a non-finite reach: the slack is then +Inf or
-// NaN, and Value never stops early.
+// an LSE term adds γ·ln deg per extreme. Each addition rounds by at most
+// u·(W + S). Rounding is monotone, so a partial sum P that is a node of
+// the total's summation — on one thread over one shard, the running
+// total — ends in a total ≥ P − S − m·u·(W + S), where m = 2·nets +
+// shards + 1 counts the additions after it, within the shards or across
+// their reduction. On the slots P is instead the sum of the chunks'
+// published partials, which the total does not contain: the exact sum of
+// P's terms is ≥ P minus the rounding of P's own ≤ 2·nets + chunks
+// additions, so m grows by that many. The slack doubles the
+// bound to cover its own rounding. A weight that is not positive and
+// finite voids the argument, and so does a non-finite reach: the slack
+// is then +Inf or NaN, and Value never stops early.
 func (e *Evaluator) deriveSlack(reach float64) float64 {
 	var neg, mag float64
 	terms := 0
@@ -75,6 +79,9 @@ func (e *Evaluator) deriveSlack(reach float64) float64 {
 		mag += 2 * w * (2*v + 2*e.gamma*float64(deg))
 		terms += 2
 	}
-	m := float64(terms + e.workers + 1)
-	return 2 * (neg + m*u*(mag+neg))
+	m := terms + e.shards + 1
+	if !e.plain() {
+		m += terms + e.chunks()
+	}
+	return 2 * (neg + float64(m)*u*(mag+neg))
 }

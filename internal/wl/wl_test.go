@@ -365,8 +365,8 @@ func TestParallelSmallFallsBack(t *testing.T) {
 	x := []float64{0, 3}
 	y := []float64{0, 4}
 	par := NewEvaluator(nl, WA, 1, 8, math.Inf(1))
-	if par.workers != 1 {
-		t.Errorf("1-net netlist kept %d workers", par.workers)
+	if par.shards != 1 || par.threads != 1 {
+		t.Errorf("1-net netlist kept %d shards on %d threads", par.shards, par.threads)
 	}
 	if got, serial := par.Value(x, y, math.Inf(1)), value(nl, WA, 1, x, y); got != serial {
 		t.Errorf("small netlist path differs: %v vs %v", got, serial)
