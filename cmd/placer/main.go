@@ -248,7 +248,7 @@ func run() error {
 		return err
 	}
 	plPath := filepath.Join(*outDir, d.Name+".out.pl")
-	if err := writePl(plPath, d); err != nil {
+	if err := writePlFile(plPath, d); err != nil {
 		return err
 	}
 	fmt.Println("wrote", plPath)
@@ -434,22 +434,11 @@ func loadDesign(auxPath, synth string, seed int64) (*db.Design, error) {
 	case auxPath != "":
 		return bookshelf.ReadDesign(auxPath)
 	case synth != "":
-		for _, cfg := range gen.Suite() {
-			if cfg.Name == synth {
-				if seed != 0 {
-					cfg.Seed = seed
-				}
-				return gen.Generate(cfg)
-			}
+		cfg, ok := gen.Builtin(synth, seed)
+		if !ok {
+			return nil, fmt.Errorf("unknown synthetic benchmark %q (try sb-a..sb-e or congested)", synth)
 		}
-		if synth == "congested" {
-			s := int64(1)
-			if seed != 0 {
-				s = seed
-			}
-			return gen.Generate(gen.Congested(2000, s))
-		}
-		return nil, fmt.Errorf("unknown synthetic benchmark %q (try sb-a..sb-e or congested)", synth)
+		return gen.Generate(cfg)
 	default:
 		return nil, fmt.Errorf("need -aux or -synth (run with -h for usage)")
 	}
@@ -472,24 +461,14 @@ func variantName(cfg core.Config) string {
 	return name
 }
 
-// writePl emits just the placement (.pl) file; the bookshelf writer would
-// emit the whole bundle, which -write-bookshelf covers separately.
-func writePl(path string, d *db.Design) error {
-	f, err := os.Create(path)
-	if err != nil {
+// writePlFile writes just the placement (.pl) file, the bytes placerd
+// serves as result.pl; -write-bookshelf writes the whole bundle.
+func writePlFile(path string, d *db.Design) error {
+	var buf bytes.Buffer
+	if err := bookshelf.WritePl(&buf, d); err != nil {
 		return err
 	}
-	defer f.Close()
-	fmt.Fprintf(f, "UCLA pl 1.0\n\n")
-	for i := range d.Cells {
-		c := &d.Cells[i]
-		fmt.Fprintf(f, "%s %g %g : %s", c.Name, c.Pos.X, c.Pos.Y, c.Orient)
-		if c.Fixed {
-			fmt.Fprintf(f, " /FIXED")
-		}
-		fmt.Fprintln(f)
-	}
-	return nil
+	return os.WriteFile(path, buf.Bytes(), 0o644)
 }
 
 func writeSVGs(dir string, d *db.Design) error {

@@ -179,11 +179,12 @@ func TestWritePl(t *testing.T) {
 	b := db.NewBuilder("t", geom.NewRect(0, 0, 10, 10))
 	ci := b.AddStdCell("a", 2, 2)
 	fx := b.AddMacro("m", 3, 3, true)
+	b.AddTerminal("p", geom.Point{X: 0, Y: 7})
 	d := b.MustDesign()
 	d.Cells[ci].Pos = geom.Point{X: 1.5, Y: 2}
 	d.Cells[fx].Pos = geom.Point{X: 5, Y: 5}
 	path := filepath.Join(t.TempDir(), "out.pl")
-	if err := writePl(path, d); err != nil {
+	if err := writePlFile(path, d); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -194,7 +195,12 @@ func TestWritePl(t *testing.T) {
 	if !strings.Contains(out, "a 1.5 2 : N") {
 		t.Errorf("movable cell line missing: %q", out)
 	}
-	if !strings.Contains(out, "m 5 5 : N /FIXED") {
+	if !strings.Contains(out, "m 5 5 : N /FIXED\n") {
 		t.Errorf("fixed macro line missing: %q", out)
+	}
+	// A zero-area terminal is written the way bookshelf.WritePl, placerd's
+	// result.pl and every pinned .pl digest write it.
+	if !strings.Contains(out, "p 0 7 : N /FIXED_NI\n") {
+		t.Errorf("terminal line missing: %q", out)
 	}
 }

@@ -80,20 +80,22 @@ type Hierarchy struct {
 	Maps   [][]int
 }
 
-// maxClusterAreaFactor bounds any cluster to this multiple of the average
-// object area at the level being coarsened.
-const maxClusterAreaFactor = 10
+const (
+	// maxClusterAreaFactor bounds any cluster to this multiple of the
+	// average object area at the level being coarsened.
+	maxClusterAreaFactor = 10
+	// maxLevels bounds the hierarchy depth.
+	maxLevels = 6
+	// maxNetDegree ignores nets larger than this during scoring; huge
+	// nets carry little locality information.
+	maxNetDegree = 16
+)
 
 // Options tunes coarsening.
 type Options struct {
 	// MinObjs stops coarsening when a level has at most this many objects
 	// (default 500).
 	MinObjs int
-	// MaxLevels bounds the hierarchy depth (default 6).
-	MaxLevels int
-	// MaxNetDegree ignores nets larger than this during scoring
-	// (default 16); huge nets carry little locality information.
-	MaxNetDegree int
 
 	// Obs, when non-nil, records a coarsening span with per-level
 	// object/net counters and debug logging (telemetry only — it never
@@ -105,12 +107,6 @@ func (o Options) withDefaults() Options {
 	if o.MinObjs <= 0 {
 		o.MinObjs = 500
 	}
-	if o.MaxLevels <= 0 {
-		o.MaxLevels = 6
-	}
-	if o.MaxNetDegree <= 0 {
-		o.MaxNetDegree = 16
-	}
 	return o
 }
 
@@ -119,13 +115,13 @@ func Build(p *Problem, opt Options) *Hierarchy {
 	opt = opt.withDefaults()
 	sp := opt.Obs.StartSpan("coarsen")
 	h := &Hierarchy{Levels: []*Problem{p}}
-	for len(h.Levels) < opt.MaxLevels {
+	for len(h.Levels) < maxLevels {
 		cur := h.Levels[len(h.Levels)-1]
 		if cur.NumObjs() <= opt.MinObjs {
 			break
 		}
 		lvl := sp.StartSpanf("level-%d", len(h.Levels))
-		next, mapping, merged := coarsen(cur, opt)
+		next, mapping, merged := coarsen(cur)
 		if !merged {
 			lvl.End()
 			break
@@ -180,7 +176,7 @@ type edge struct {
 // coarsen performs one first-choice clustering pass. It returns the
 // coarser problem, the fine→coarse mapping, and whether any merge
 // happened.
-func coarsen(p *Problem, opt Options) (*Problem, []int, bool) {
+func coarsen(p *Problem) (*Problem, []int, bool) {
 	n := p.NumObjs()
 	avgArea := p.TotalArea() / math.Max(1, float64(n))
 	maxArea := avgArea * maxClusterAreaFactor
@@ -192,7 +188,7 @@ func coarsen(p *Problem, opt Options) (*Problem, []int, bool) {
 	for ni := range p.Nets {
 		net := &p.Nets[ni]
 		d := len(net.Pins)
-		if d < 2 || d > opt.MaxNetDegree {
+		if d < 2 || d > maxNetDegree {
 			continue
 		}
 		w := net.Weight

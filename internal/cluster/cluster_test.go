@@ -37,7 +37,7 @@ func chainProblem(n int) *Problem {
 
 func TestCoarsenHalvesChain(t *testing.T) {
 	p := chainProblem(100)
-	next, mapping, ok := coarsen(p, Options{}.withDefaults())
+	next, mapping, ok := coarsen(p)
 	if !ok {
 		t.Fatal("no merges on a chain")
 	}
@@ -76,7 +76,7 @@ func TestGroupBoundaryRespected(t *testing.T) {
 			p.Group[i] = 0
 		}
 	}
-	h := Build(p, Options{MinObjs: 1, MaxLevels: 10})
+	h := Build(p, Options{MinObjs: 1})
 	top := h.Levels[len(h.Levels)-1]
 	if top.NumObjs() < 2 {
 		t.Fatalf("groups collapsed into %d objects", top.NumObjs())
@@ -95,7 +95,7 @@ func TestGroupBoundaryRespected(t *testing.T) {
 func TestRegionBoundaryRespected(t *testing.T) {
 	p := chainProblem(10)
 	p.Region[3] = 7 // lone fenced object
-	h := Build(p, Options{MinObjs: 1, MaxLevels: 10})
+	h := Build(p, Options{MinObjs: 1})
 	idx := 3
 	for l, m := range h.Maps {
 		idx = m[idx]
@@ -113,7 +113,7 @@ func TestMacrosNeverMerge(t *testing.T) {
 	p := chainProblem(10)
 	p.Macro[4] = true
 	p.Area[4] = 100
-	h := Build(p, Options{MinObjs: 1, MaxLevels: 10})
+	h := Build(p, Options{MinObjs: 1})
 	idx := 4
 	for l, m := range h.Maps {
 		idx = m[idx]
@@ -128,7 +128,7 @@ func TestMacrosNeverMerge(t *testing.T) {
 
 func TestBuildReachesTarget(t *testing.T) {
 	p := chainProblem(1000)
-	h := Build(p, Options{MinObjs: 50, MaxLevels: 20})
+	h := Build(p, Options{MinObjs: 50})
 	top := h.Levels[len(h.Levels)-1]
 	if top.NumObjs() > 100 {
 		t.Errorf("top level still has %d objects", top.NumObjs())
@@ -141,7 +141,7 @@ func TestBuildReachesTarget(t *testing.T) {
 func TestNetLoweringDropsInternalNets(t *testing.T) {
 	// Two objects joined by one net merge; their net must disappear.
 	p := chainProblem(2)
-	next, _, ok := coarsen(p, Options{}.withDefaults())
+	next, _, ok := coarsen(p)
 	if !ok {
 		t.Fatal("no merge")
 	}
@@ -159,7 +159,7 @@ func TestNetLoweringKeepsFixedPins(t *testing.T) {
 		{Obj: 0},
 		{Obj: wl.Fixed, OffX: 50, OffY: 50},
 	}})
-	next, _, ok := coarsen(p, Options{}.withDefaults())
+	next, _, ok := coarsen(p)
 	if !ok {
 		t.Fatal("no merge")
 	}
@@ -178,7 +178,7 @@ func TestNetLoweringKeepsFixedPins(t *testing.T) {
 
 func TestInterpolatePlacesMembersNearCluster(t *testing.T) {
 	p := chainProblem(40)
-	h := Build(p, Options{MinObjs: 5, MaxLevels: 10})
+	h := Build(p, Options{MinObjs: 5})
 	if len(h.Levels) < 2 {
 		t.Fatal("no coarsening happened")
 	}
@@ -219,7 +219,7 @@ func TestClusterCentroidIsAreaWeighted(t *testing.T) {
 	p.Area[1] = 1
 	p.X[0] = 0
 	p.X[1] = 4
-	next, mapping, ok := coarsen(p, Options{}.withDefaults())
+	next, mapping, ok := coarsen(p)
 	if !ok {
 		t.Fatal("no merge")
 	}
@@ -251,7 +251,7 @@ func TestHugeNetsIgnoredForScoring(t *testing.T) {
 		big.Pins = append(big.Pins, wl.PinRef{Obj: i})
 	}
 	p.Nets = []wl.Net{big}
-	_, _, ok := coarsen(p, Options{MaxNetDegree: 16}.withDefaults())
+	_, _, ok := coarsen(p)
 	if ok {
 		t.Error("degree-capped net still produced merges")
 	}

@@ -20,10 +20,6 @@ type checkpointer struct {
 	fp  [32]byte
 }
 
-func newCheckpointer(d *db.Design, cfg Config) *checkpointer {
-	return &checkpointer{d: d, cfg: cfg, fp: d.Fingerprint()}
-}
-
 // gpHook builds the levelSolver round observer for finest-level global
 // placement: every CheckpointEvery-th round it publishes the in-flight
 // solver positions to the design and emits a StageGP snapshot.
@@ -168,12 +164,8 @@ func (ck *checkpointer) emit(stage snap.Stage, level, round, routIter int, lambd
 		}
 	}
 	if grid != nil {
-		ds := grid.SnapshotDemand()
-		st.Route = &snap.RouteState{
-			NX: ds.NX, NY: ds.NY,
-			HDem: ds.HDem, VDem: ds.VDem,
-			HHist: ds.HHist, VHist: ds.VHist,
-		}
+		rs := snap.RouteState(grid.SnapshotDemand())
+		st.Route = &rs
 	}
 	ck.cfg.Checkpoint(st)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
@@ -39,8 +40,8 @@ func resumeGenCfg(seed int64) gen.Config {
 // TestCheckpointResumeEquivalence is the acceptance test for the
 // persistence subsystem: a run checkpointed every λ round and killed
 // mid-GP, then resumed from its last checkpoint on a freshly loaded
-// design, must produce a legal placement whose sHPWL is within 1% of the
-// uninterrupted run's.
+// design at the same worker count, must write the uninterrupted run's
+// .pl byte for byte, and so its legality and sHPWL.
 func TestCheckpointResumeEquivalence(t *testing.T) {
 	genCfg := resumeGenCfg(3)
 
@@ -50,6 +51,7 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reference Place: %v", err)
 	}
+	refPl := plBytes(t, ref)
 	refM, err := route.EvaluateDesign(ref, route.RouterOptions{Workers: 1})
 	if err != nil {
 		t.Fatalf("reference evaluate: %v", err)
@@ -97,6 +99,9 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 	}
 	if res.LambdaRounds <= last.Round {
 		t.Errorf("resumed run reports %d λ rounds, checkpoint already had %d", res.LambdaRounds, last.Round)
+	}
+	if !bytes.Equal(plBytes(t, resumed), refPl) {
+		t.Error("resumed .pl differs from the uninterrupted run's")
 	}
 
 	resM, err := route.EvaluateDesign(resumed, route.RouterOptions{Workers: 1})

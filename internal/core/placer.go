@@ -62,6 +62,14 @@ func canceled(stage string, err error) error {
 // should treat a non-nil error as "discard d". A ctx that never cancels
 // leaves results byte-identical to Place.
 func (pl *Placer) PlaceContext(ctx context.Context, d *db.Design) (Result, error) {
+	return pl.run(ctx, d, nil)
+}
+
+// run is the placement flow behind PlaceContext (st == nil) and
+// PlaceFromCheckpoint. A resume is the same flow entered later: one
+// level, no warm start, the checkpointed λ schedule and inflation, and
+// no global placement at all from a routability checkpoint.
+func (pl *Placer) run(ctx context.Context, d *db.Design, st *snap.State) (Result, error) {
 	cfg := pl.cfg
 	res := Result{}
 	if len(d.Cells) == 0 {
@@ -72,6 +80,20 @@ func (pl *Placer) PlaceContext(ctx context.Context, d *db.Design) (Result, error
 	}
 	if cfg.DisableFences {
 		stripFences(d)
+	}
+	// The input-identity fingerprint is taken after fence stripping and
+	// before any position changes: a resume checks it against the
+	// checkpoint's, and every checkpoint this run emits, resumed or not,
+	// carries the original design's, so it resumes against a freshly
+	// loaded one.
+	var fp [32]byte
+	if st != nil || cfg.Checkpoint != nil {
+		fp = d.Fingerprint()
+	}
+	if st != nil {
+		if err := pl.applyCheckpoint(d, st, fp); err != nil {
+			return res, err
+		}
 	}
 
 	target := cfg.TargetDensity
@@ -89,10 +111,20 @@ func (pl *Placer) PlaceContext(ctx context.Context, d *db.Design) (Result, error
 		return res, fmt.Errorf("core: design %q has no movable cells", d.Name)
 	}
 	fixed := fixedRects(d)
-	staggerCoincident(prob, d.Die)
-	if !cfg.DisableQuadInit {
-		quadInit(prob, d.Die)
+	if st == nil {
 		staggerCoincident(prob, d.Die)
+		if !cfg.DisableQuadInit {
+			quadInit(prob, d.Die)
+			staggerCoincident(prob, d.Die)
+		}
+	} else {
+		// The density model must see the checkpointed inflation, not the
+		// base cell areas (a routability-stage resume would otherwise
+		// respread at pre-inflation density and undo the loop's relief
+		// work).
+		for i, ci := range pm.objToCell {
+			prob.Area[i] = d.Cells[ci].InflatedArea()
+		}
 	}
 	if lowSp != nil {
 		lowSp.Add("objects", int64(prob.NumObjs()))
@@ -100,50 +132,64 @@ func (pl *Placer) PlaceContext(ctx context.Context, d *db.Design) (Result, error
 		lowSp.End()
 	}
 
-	var hier *cluster.Hierarchy
-	if cfg.DisableMultilevel {
-		hier = &cluster.Hierarchy{Levels: []*cluster.Problem{prob}}
-	} else {
+	// A resume solves level 0 alone and continues the checkpointed λ
+	// schedule with the rounds left of its budget; its checkpoints keep
+	// counting rounds from the original start.
+	hier := &cluster.Hierarchy{Levels: []*cluster.Problem{prob}}
+	if st == nil && !cfg.DisableMultilevel {
 		hier = cluster.Build(prob, cluster.Options{MinObjs: clusterMinObjs, Obs: rec})
 	}
 	res.Levels = len(hier.Levels)
+	gpCfg := cfg
+	var roundBase int
+	var lastLambda, lastMu float64
+	runGP := true
+	if st != nil {
+		roundBase, lastLambda, lastMu = st.Round, st.Lambda, st.Mu
+		res.LambdaRounds = st.Round
+		gpCfg.MaxLambdaRounds -= st.Round
+		runGP = st.Stage == snap.StageGP && gpCfg.MaxLambdaRounds > 0
+	}
 	var ck *checkpointer
 	if cfg.Checkpoint != nil {
-		ck = newCheckpointer(d, cfg)
+		ck = &checkpointer{d: d, cfg: cfg, fp: fp}
 	}
-	gpSp := rec.StartSpan("gp")
-	var lastLambda, lastMu float64
-	for l := len(hier.Levels) - 1; l >= 0; l-- {
-		var trace *Trace
-		if l == 0 {
-			trace = cfg.Trace
+	if runGP {
+		gpSp := rec.StartSpan("gp")
+		for l := len(hier.Levels) - 1; l >= 0; l-- {
+			s := newLevelSolver(gpCfg, hier.Levels[l], d.Die, fixed, d.Regions, target, d.RowHeight())
+			s.rec = rec
+			s.level = l
+			s.span = gpSp.StartSpanf("level-%d", l)
+			var trace *Trace
+			if l == 0 {
+				trace = cfg.Trace
+				if st != nil {
+					s.startLambda, s.startMu = st.Lambda, st.Mu
+				}
+				if ck != nil {
+					// Checkpoints are only meaningful at the finest level,
+					// where problem objects are real cells (coarse-level
+					// cluster centers cannot seed a resumed flow).
+					s.onRound = ck.gpHook(prob, pm, roundBase)
+				}
+			}
+			gst := s.solve(ctx, trace)
+			res.addGP(gst, s.span)
+			s.span.End()
+			lastLambda, lastMu = gst.FinalLambda, gst.FinalMu
+			if err := ctx.Err(); err != nil {
+				gpSp.End()
+				writeBack(d, prob, pm)
+				return res, canceled("global placement", err)
+			}
+			if l > 0 {
+				hier.Interpolate(l - 1)
+			}
 		}
-		s := newLevelSolver(cfg, hier.Levels[l], d.Die, fixed, d.Regions, target, d.RowHeight())
-		s.rec = rec
-		s.level = l
-		s.span = gpSp.StartSpanf("level-%d", l)
-		if ck != nil && l == 0 {
-			// Checkpoints are only meaningful at the finest level, where
-			// problem objects are real cells (coarse-level cluster centers
-			// cannot seed a resumed flow).
-			s.onRound = ck.gpHook(prob, pm, 0)
-		}
-		st := s.solve(ctx, trace)
-		res.addGP(st, s.span)
-		s.span.End()
-		lastLambda = st.FinalLambda
-		lastMu = st.FinalMu
-		if err := ctx.Err(); err != nil {
-			gpSp.End()
-			writeBack(d, prob, pm)
-			return res, canceled("global placement", err)
-		}
-		if l > 0 {
-			hier.Interpolate(l - 1)
-		}
+		gpSp.End()
+		writeBack(d, prob, pm)
 	}
-	gpSp.End()
-	writeBack(d, prob, pm)
 	res.GPTime = time.Since(t0)
 	res.HPWLGlobal = d.HPWL()
 	rec.Log().Debug("global placement done",
@@ -152,24 +198,35 @@ func (pl *Placer) PlaceContext(ctx context.Context, d *db.Design) (Result, error
 		"overflow", res.Overflow, "hpwl", res.HPWLGlobal)
 
 	// ---- Routability loop -------------------------------------------
-	var routedGrid *route.Grid
+	var grid *route.Grid
 	if !cfg.DisableRoutability && d.Route != nil {
 		t1 := time.Now()
-		g, err := pl.routabilityLoop(ctx, d, prob, pm, fixed, target, lastLambda, lastMu, &res, ck, nil, 0)
-		if err != nil {
+		var err error
+		if grid, err = route.NewGrid(d); err != nil {
 			return res, err
 		}
-		routedGrid = g
+		startIter := 0
+		if st != nil && st.Stage == snap.StageRoutability {
+			startIter = st.RoutIter
+			if st.Route != nil {
+				if err := grid.RestoreDemand(route.DemandState(*st.Route)); err != nil {
+					return res, err
+				}
+			}
+		}
+		if err := pl.routabilityLoop(ctx, d, prob, pm, fixed, target, lastLambda, lastMu, &res, ck, grid, startIter); err != nil {
+			return res, err
+		}
 		res.RouteOptTime = time.Since(t1)
 		res.HPWLGlobal = d.HPWL()
 	}
-	return res, pl.finish(ctx, d, routedGrid, &res)
+	return res, pl.finish(ctx, d, grid, &res)
 }
 
-// finish is the back half of the flow shared by PlaceContext and
-// PlaceFromCheckpoint: macro orientation, legalization, detailed placement
-// and the final quality checks. routedGrid, when non-nil, supplies the
-// congestion map for routability-aware detailed placement.
+// finish is the back half of the flow: macro orientation, legalization,
+// detailed placement and the final quality checks. routedGrid, when
+// non-nil, supplies the congestion map for routability-aware detailed
+// placement.
 func (pl *Placer) finish(ctx context.Context, d *db.Design, routedGrid *route.Grid, res *Result) error {
 	cfg := pl.cfg
 	rec := cfg.Obs
@@ -236,21 +293,14 @@ func (pl *Placer) finish(ctx context.Context, d *db.Design, routedGrid *route.Gr
 }
 
 // routabilityLoop runs estimate → inflate → respread rounds on the level-0
-// problem, updating design positions after each round. Cancellation of
-// ctx aborts between (and inside, at batch granularity) routing calls and
-// respread rounds. ck, when non-nil, checkpoints after every iteration.
-// grid, when non-nil, is a pre-built (possibly demand-restored) routing
-// grid; startIter skips already-completed iterations on resume.
-func (pl *Placer) routabilityLoop(ctx context.Context, d *db.Design, prob *cluster.Problem, pm *problemMap, fixed []geom.Rect, target float64, lastLambda, lastMu float64, res *Result, ck *checkpointer, grid *route.Grid, startIter int) (*route.Grid, error) {
+// problem, updating design positions after each round, and leaves grid
+// routed for the shipped placement. Cancellation of ctx aborts between
+// (and inside, at batch granularity) routing calls and respread rounds.
+// ck, when non-nil, checkpoints after every iteration. startIter skips
+// the iterations a resumed checkpoint already completed.
+func (pl *Placer) routabilityLoop(ctx context.Context, d *db.Design, prob *cluster.Problem, pm *problemMap, fixed []geom.Rect, target float64, lastLambda, lastMu float64, res *Result, ck *checkpointer, grid *route.Grid, startIter int) error {
 	cfg := pl.cfg
 	rec := cfg.Obs
-	if grid == nil {
-		var err error
-		grid, err = route.NewGrid(d)
-		if err != nil {
-			return nil, err
-		}
-	}
 	loopSp := rec.StartSpan("routability")
 	// Inflation budget: inflated movable area must stay within the
 	// spreadable capacity or the density solver can never converge.
@@ -321,7 +371,7 @@ func (pl *Placer) routabilityLoop(ctx context.Context, d *db.Design, prob *clust
 			if _, err := router.RouteDesignCtx(ctx, d); err != nil {
 				iterSp.End()
 				loopSp.End()
-				return nil, canceled("routability", err)
+				return canceled("routability", err)
 			}
 			if rec.HeatmapsEnabled() {
 				rec.RecordHeatmap(fmt.Sprintf("routability-%d", iter), grid.NX, grid.NY, grid.TileCongestion())
@@ -424,7 +474,7 @@ func (pl *Placer) routabilityLoop(ctx context.Context, d *db.Design, prob *clust
 		iterSp.End()
 		if err := ctx.Err(); err != nil {
 			loopSp.End()
-			return nil, canceled("routability", err)
+			return canceled("routability", err)
 		}
 		if ck != nil {
 			ck.emit(snap.StageRoutability, 0, res.LambdaRounds, iter+1, lastLambda, lastMu, grid)
@@ -446,7 +496,7 @@ func (pl *Placer) routabilityLoop(ctx context.Context, d *db.Design, prob *clust
 	}
 	if _, err := router.RouteDesignCtx(ctx, d); err != nil {
 		loopSp.End()
-		return nil, canceled("routability", err)
+		return canceled("routability", err)
 	}
 	if scoreNow() > bestScore {
 		copy(prob.X, bestX)
@@ -454,7 +504,7 @@ func (pl *Placer) routabilityLoop(ctx context.Context, d *db.Design, prob *clust
 		writeBack(d, prob, pm)
 		if _, err := router.RouteDesignCtx(ctx, d); err != nil {
 			loopSp.End()
-			return nil, canceled("routability", err)
+			return canceled("routability", err)
 		}
 	}
 	final := CongStat{ACE: grid.ACEProfile()}
@@ -468,7 +518,7 @@ func (pl *Placer) routabilityLoop(ctx context.Context, d *db.Design, prob *clust
 		rec.RecordHeatmap("final", grid.NX, grid.NY, grid.TileCongestion())
 	}
 	loopSp.End()
-	return grid, nil
+	return nil
 }
 
 // weightNetsByCongestion scales each GP net's weight by how congested the

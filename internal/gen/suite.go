@@ -75,3 +75,25 @@ func Congested(cells int, seed int64) Config {
 		TargetUtil: 0.72, LocalityWindow: 0.02, TrackCapacity: cap,
 	}
 }
+
+// Builtin resolves a built-in benchmark name, as the placer CLI's -synth
+// and placerd's synth jobs accept it: sb-a … sb-e from Suite, or
+// "congested", which is Congested(2000, 1). A nonzero seed replaces the
+// default one.
+func Builtin(name string, seed int64) (Config, bool) {
+	for _, cfg := range Suite() {
+		if cfg.Name == name {
+			if seed != 0 {
+				cfg.Seed = seed
+			}
+			return cfg, true
+		}
+	}
+	if name == "congested" {
+		if seed == 0 {
+			seed = 1
+		}
+		return Congested(2000, seed), true
+	}
+	return Config{}, false
+}

@@ -433,7 +433,7 @@ func LoadDesign(spec Spec, allowDir string) (*db.Design, error) {
 		}
 		return d, nil
 	case spec.Synth != "":
-		cfg, ok := synthConfig(spec.Synth, spec.Seed)
+		cfg, ok := gen.Builtin(spec.Synth, spec.Seed)
 		if !ok {
 			return nil, fmt.Errorf("%w: unknown synthetic benchmark %q", ErrBadSpec, spec.Synth)
 		}
@@ -460,26 +460,6 @@ func classifyLoadErr(err error) error {
 		return fmt.Errorf("%w: %w", ErrBadSpec, err)
 	}
 	return err
-}
-
-// synthConfig resolves a built-in benchmark name (mirrors cmd/placer).
-func synthConfig(name string, seed int64) (gen.Config, bool) {
-	for _, cfg := range gen.Suite() {
-		if cfg.Name == name {
-			if seed != 0 {
-				cfg.Seed = seed
-			}
-			return cfg, true
-		}
-	}
-	if name == "congested" {
-		s := int64(1)
-		if seed != 0 {
-			s = seed
-		}
-		return gen.Congested(2000, s), true
-	}
-	return gen.Config{}, false
 }
 
 // allowedAux validates a path job against the allow directory.
