@@ -44,19 +44,19 @@ test-store:
 	$(GO) test -race -run 'TestRestart|TestDuplicate|TestDedupKey|TestStateDir' ./internal/serve/
 
 # FUZZTIME-bounded run of every fuzz target: malformed Bookshelf input
-# must produce *ParseError, any POST /jobs body must get a 202 or a 4xx
-# JSON error — never a 5xx, never a panic — the netlist differ must
-# match its string-keyed reference on any perturbed delta, a
-# checkpoint body behind a valid CRC must decode to an error or a finite,
-# length-consistent state, and a wirelength value with a limit must be
-# the uncut value's bits unless that exceeds the limit. Go allows one
-# -fuzz pattern per invocation, hence the loop. FuzzSubmit,
-# FuzzDiffDesigns, FuzzDecode and FuzzValueCut cap input minimization:
-# at the default 60s budget per new input, minimizing eats the whole
-# smoke window.
+# (.aux, .nets, .scl, .route, .pl, .hier) must produce *ParseError, any
+# POST /jobs body must get a 202 or a 4xx JSON error — never a 5xx,
+# never a panic — the netlist differ must match its string-keyed
+# reference on any perturbed delta, a checkpoint body behind a valid CRC
+# must decode to an error or a finite, length-consistent state, and a
+# wirelength value with a limit must be the uncut value's bits unless
+# that exceeds the limit. Go allows one -fuzz pattern per invocation,
+# hence the loop. FuzzSubmit, FuzzDiffDesigns, FuzzDecode and
+# FuzzValueCut cap input minimization: at the default 60s budget per new
+# input, minimizing eats the whole smoke window.
 FUZZTIME ?= 30s
 fuzz-smoke:
-	@for t in FuzzReadAux FuzzReadNets FuzzReadScl FuzzReadRoute FuzzReadHier; do \
+	@for t in FuzzReadAux FuzzReadNets FuzzReadScl FuzzReadRoute FuzzReadPl FuzzReadHier; do \
 		echo "fuzz $$t ($(FUZZTIME))"; \
 		$(GO) test -fuzz "^$$t$$" -fuzztime $(FUZZTIME) -run '^$$' ./internal/bookshelf/ || exit 1; \
 	done

@@ -49,7 +49,7 @@ func placeAndScore(b *testing.B, cfg gen.Config, variant string, pc core.Config)
 		Design: cfg.Name, Variant: variant,
 		HPWL: res.HPWLFinal, Overflow: res.Overflow,
 		Overlaps: res.Overlaps, FenceViol: res.FenceViolations,
-		GPTime: res.GPTime, TotalTime: total,
+		GPSeconds: res.GPTime.Seconds(), TotalSeconds: total.Seconds(),
 	}
 	if d.Route != nil {
 		m, err := route.EvaluateDesign(d, route.RouterOptions{})
@@ -159,7 +159,7 @@ func BenchmarkTable4_FenceVsFlat(b *testing.B) {
 				HPWL: res.HPWLFinal, ScaledHPWL: m.ScaledHPWL, RC: m.RC, ACE: m.ACE,
 				Overflow: res.Overflow,
 				Overlaps: res.Overlaps, FenceViol: would,
-				GPTime: res.GPTime, TotalTime: time.Since(t0),
+				GPSeconds: res.GPTime.Seconds(), TotalSeconds: time.Since(t0).Seconds(),
 			})
 		}
 		if i == 0 {
@@ -340,7 +340,7 @@ func BenchmarkTable10_Inflation(b *testing.B) {
 				HPWL: m.HPWL, ScaledHPWL: m.ScaledHPWL, RC: m.RC, ACE: m.ACE,
 				Overflow: res.Overflow, Overlaps: res.Overlaps,
 				FenceViol: res.FenceViolations,
-				GPTime:    res.GPTime, TotalTime: time.Since(t0),
+				GPSeconds: res.GPTime.Seconds(), TotalSeconds: time.Since(t0).Seconds(),
 			})
 		}
 		if i == 0 {
@@ -383,7 +383,7 @@ func BenchmarkTable11_ChannelDerate(b *testing.B) {
 				HPWL: m.HPWL, ScaledHPWL: m.ScaledHPWL, RC: m.RC, ACE: m.ACE,
 				Overflow: res.Overflow, Overlaps: res.Overlaps,
 				FenceViol: res.FenceViolations,
-				GPTime:    res.GPTime, TotalTime: time.Since(t0),
+				GPSeconds: res.GPTime.Seconds(), TotalSeconds: time.Since(t0).Seconds(),
 			})
 		}
 		if i == 0 {

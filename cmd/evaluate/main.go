@@ -11,7 +11,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -21,8 +20,6 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 	"syscall"
 
 	"repro/internal/bookshelf"
@@ -188,7 +185,8 @@ func flushCanceledReport(rec *obs.Recorder, report, trace string, d *db.Design, 
 	}
 	rep := rec.BuildReport()
 	rep.Tool = "evaluate"
-	rep.Design = obs.DescribeDesign(d)
+	stats := d.ComputeStats()
+	rep.Design = &stats
 	rep.Config = map[string]any{"rrr": rrr, "workers": workers}
 	rep.Canceled = errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded)
 	if report != "" {
@@ -248,7 +246,8 @@ func finishEvaluate(rec *obs.Recorder, d *db.Design, row metrics.Row, report, tr
 	}
 	rep := rec.BuildReport()
 	rep.Tool = "evaluate"
-	rep.Design = obs.DescribeDesign(d)
+	stats := d.ComputeStats()
+	rep.Design = &stats
 	rep.Config = map[string]any{"rrr": rrr, "workers": workers}
 	rep.Metrics = &row
 	if report != "" {
@@ -266,48 +265,26 @@ func finishEvaluate(rec *obs.Recorder, d *db.Design, row metrics.Row, report, tr
 	return nil
 }
 
-// applyPl overrides cell positions from a standalone .pl file.
+// applyPl overrides cell positions and orientations from a standalone
+// .pl file, skipping names the design lacks. Fixed markers are not
+// applied: which cells are fixed is part of the problem the .aux states,
+// not of the placement being scored.
 func applyPl(d *db.Design, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	n := 0
-	for sc.Scan() {
-		line := sc.Text()
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
+	err = bookshelf.ReadPl(f, path, func(p bookshelf.PlRecord) error {
+		if ci := d.CellIndex(p.Name); ci >= 0 {
+			d.Cells[ci].Pos = geom.Point{X: p.X, Y: p.Y}
+			d.Cells[ci].Orient = p.Orient
+			n++
 		}
-		fields := strings.Fields(line)
-		if len(fields) < 3 || strings.EqualFold(fields[0], "UCLA") {
-			continue
-		}
-		x, err1 := strconv.ParseFloat(fields[1], 64)
-		y, err2 := strconv.ParseFloat(fields[2], 64)
-		if err1 != nil || err2 != nil {
-			continue
-		}
-		ci := d.CellIndex(fields[0])
-		if ci < 0 {
-			continue
-		}
-		c := &d.Cells[ci]
-		c.Pos = geom.Point{X: x, Y: y}
-		rest := fields[3:]
-		if len(rest) > 0 && rest[0] == ":" {
-			rest = rest[1:]
-		}
-		if len(rest) > 0 {
-			if o, ok := db.ParseOrient(rest[0]); ok {
-				c.Orient = o
-			}
-		}
-		n++
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return err
 	}
 	fmt.Printf("applied %d positions from %s\n", n, path)

@@ -205,7 +205,7 @@ func run() error {
 		fmt.Printf("resume:    %s (stage %s, round %d)\n", *resume, st.Stage, st.Round)
 		res, err = placer.PlaceFromCheckpoint(ctx, d, st)
 	case *ecoBase != "":
-		res, err = placeEco(ctx, placer, d, *ecoBase, cfg, rec)
+		res, err = placeEco(ctx, placer, d, *ecoBase)
 	default:
 		res, err = placer.PlaceContext(ctx, d)
 	}
@@ -228,7 +228,7 @@ func run() error {
 		Design: d.Name, Variant: variantName(cfg),
 		HPWL: res.HPWLFinal, Overflow: res.Overflow,
 		Overlaps: res.Overlaps, FenceViol: res.FenceViolations, OutOfDie: res.OutOfDie,
-		GPTime: res.GPTime, TotalTime: total,
+		GPSeconds: res.GPTime.Seconds(), TotalSeconds: total.Seconds(),
 	}
 	if *evaluate && d.Route != nil {
 		m, err := route.EvaluateDesignCtx(ctx, d, route.RouterOptions{Workers: *workers, Obs: rec, TraceLabel: "evaluate"})
@@ -267,7 +267,8 @@ func run() error {
 	if *report != "" || *tracePath != "" {
 		rep := rec.BuildReport()
 		rep.Tool = "placer"
-		rep.Design = obs.DescribeDesign(d)
+		stats := d.ComputeStats()
+		rep.Design = &stats
 		rep.Config = cfg
 		rep.Metrics = &row
 		if *report != "" {
@@ -292,11 +293,10 @@ func run() error {
 }
 
 // placeEco runs the incremental path: diff the loaded design against the
-// base placement by name, transfer every reusable position, and repair
-// only windows around the changed cells. A delta outside windowed
-// repair's reach (macro churn, too many dirty cells) falls back to the
-// full flow — an ECO invocation always ends in a legal placement.
-func placeEco(ctx context.Context, placer *core.Placer, d *db.Design, basePath string, cfg core.Config, rec *obs.Recorder) (core.Result, error) {
+// base placement by name and place it through the placer's one ECO entry,
+// which repairs only windows around the changed cells or, for a delta out
+// of windowed repair's reach, falls back to the full flow.
+func placeEco(ctx context.Context, placer *core.Placer, d *db.Design, basePath string) (core.Result, error) {
 	base, err := loadBasePlacement(basePath, d)
 	if err != nil {
 		return core.Result{}, fmt.Errorf("loading -eco-base %s: %w", basePath, err)
@@ -304,26 +304,14 @@ func placeEco(ctx context.Context, placer *core.Placer, d *db.Design, basePath s
 	df := eco.DiffPlacement(d, base)
 	fmt.Printf("eco:       base %s: %d changed, %d added, %d removed (%.1f%% reuse)\n",
 		basePath, len(df.Changed), len(df.Added), len(df.RemovedNames), 100*df.ReuseRatio())
-	eres, err := eco.Place(d, df, base, eco.Options{Workers: cfg.Workers, Obs: rec})
-	if errors.Is(err, eco.ErrNeedFull) {
+	res, err := placer.PlaceDelta(ctx, d, df, base)
+	if e := res.Eco; e == nil {
 		fmt.Println("eco:       delta out of windowed repair's reach, placing from scratch")
-		return placer.PlaceContext(ctx, d)
+	} else if err == nil {
+		fmt.Printf("eco:       repaired %d cells in %d windows (%d frozen), legal %.2fs dp %.2fs\n",
+			e.Repaired, len(e.Windows), e.Frozen, e.LegalTime.Seconds(), e.DPTime.Seconds())
 	}
-	if err != nil {
-		return core.Result{}, err
-	}
-	fmt.Printf("eco:       repaired %d cells in %d windows (%d frozen), legal %.2fs dp %.2fs\n",
-		eres.Repaired, len(eres.Windows), eres.Frozen,
-		eres.LegalTime.Seconds(), eres.DPTime.Seconds())
-	return core.Result{
-		HPWLFinal:       eres.HPWL,
-		Overlaps:        eres.Overlaps,
-		FenceViolations: eres.FenceViolations,
-		OutOfDie:        eres.OutOfDie,
-		Legal:           eres.Legal,
-		LegalTime:       eres.LegalTime,
-		DPTime:          eres.DPTime,
-	}, nil
+	return res, err
 }
 
 // loadBasePlacement reads an -eco-base file, sniffing the format: snap
@@ -352,7 +340,8 @@ func flushCanceledReport(rec *obs.Recorder, report, trace string, cfg core.Confi
 	}
 	rep := rec.BuildReport()
 	rep.Tool = "placer"
-	rep.Design = obs.DescribeDesign(d)
+	stats := d.ComputeStats()
+	rep.Design = &stats
 	rep.Config = cfg
 	rep.Canceled = errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded)
 	if report != "" {

@@ -106,6 +106,19 @@ func FuzzReadRoute(f *testing.F) {
 	})
 }
 
+func FuzzReadPl(f *testing.F) {
+	seedGolden(f, ".pl")
+	f.Add("UCLA pl 1.0\na 0 0 /FIXED\nb 0 0 : /FIXED\nc 0 0 : N # /FIXED\n")
+	f.Add("UCLA pl 1.0\na 1O 20 : N\n")
+	f.Add("UCLA pl 1.0\nghost 1 2 : N\n")
+	f.Add("UCLA pl 1.0\na 1\n")
+	f.Add("a 1 2 : N\n")
+	f.Fuzz(func(t *testing.T, data string) {
+		r := fuzzReader()
+		requireParseError(t, r.readPl(strings.NewReader(data), "fuzz.pl"))
+	})
+}
+
 func FuzzReadHier(f *testing.F) {
 	seedGolden(f, ".hier")
 	f.Add("UCLA hier 1.0\nModule top : parent -1 fence -\nNumCells :\n")

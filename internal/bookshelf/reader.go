@@ -1,6 +1,8 @@
 package bookshelf
 
 import (
+	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -244,8 +246,26 @@ func (r *reader) readWts(f io.Reader, name string) error {
 	return nil
 }
 
-func (r *reader) readPl(f io.Reader, name string) error {
-	sc := newScanner(f, name)
+// PlRecord is one placement line of a .pl file:
+//
+//	name x y [:] [orient] [/FIXED | /FIXED_NI]
+//
+// Orient is N when the line names none; either fixed marker sets Fixed.
+type PlRecord struct {
+	Name   string
+	X, Y   float64
+	Orient db.Orient
+	Fixed  bool
+}
+
+// ReadPl parses a .pl stream and hands each placement line to fn in file
+// order; file names the stream in errors. It is the one .pl parser:
+// ReadDesign, the ECO base reader and the evaluator's -pl override all
+// read through it and differ only in what they do with a name. Malformed
+// input, and any error fn returns, comes back as a *ParseError locating
+// the line.
+func ReadPl(r io.Reader, file string, fn func(PlRecord) error) error {
+	sc := newScanner(r, file)
 	if err := sc.expectHeader("pl"); err != nil {
 		return err
 	}
@@ -253,10 +273,6 @@ func (r *reader) readPl(f io.Reader, name string) error {
 		fields := strings.Fields(sc.cur)
 		if len(fields) < 3 {
 			return sc.errf("pl line needs name x y")
-		}
-		ci, ok := r.cellIdx[fields[0]]
-		if !ok {
-			return sc.errf("pl references unknown node %q", fields[0])
 		}
 		x, err := parseFloat(sc, fields[1])
 		if err != nil {
@@ -266,33 +282,55 @@ func (r *reader) readPl(f io.Reader, name string) error {
 		if err != nil {
 			return err
 		}
-		c := &r.design.Cells[ci]
-		c.Pos = geom.Point{X: x, Y: y}
+		rec := PlRecord{Name: fields[0], X: x, Y: y}
 		rest := fields[3:]
 		if len(rest) > 0 && rest[0] == ":" {
 			rest = rest[1:]
 		}
+		// A token that is not an orientation stays for the marker scan.
 		if len(rest) > 0 {
-			if o, oko := db.ParseOrient(rest[0]); oko {
-				c.Orient = o
+			if o, ok := db.ParseOrient(rest[0]); ok {
+				rec.Orient = o
+				rest = rest[1:]
 			}
-			rest = rest[1:]
 		}
-		fixed := false
 		for _, tok := range rest {
 			switch strings.ToUpper(tok) {
 			case "/FIXED", "/FIXED_NI":
-				fixed = true
+				rec.Fixed = true
 			}
 		}
-		if fixed {
+		if err := fn(rec); err != nil {
+			return sc.errf("%v", err)
+		}
+	}
+	// A line past the scanner's limit is the input's fault; a failed
+	// read is not.
+	if err := sc.s.Err(); errors.Is(err, bufio.ErrTooLong) {
+		return sc.errf("%v", err)
+	} else if err != nil {
+		return fmt.Errorf("%s: %w", file, err)
+	}
+	return nil
+}
+
+func (r *reader) readPl(f io.Reader, name string) error {
+	return ReadPl(f, name, func(p PlRecord) error {
+		ci, ok := r.cellIdx[p.Name]
+		if !ok {
+			return fmt.Errorf("pl references unknown node %q", p.Name)
+		}
+		c := &r.design.Cells[ci]
+		c.Pos = geom.Point{X: p.X, Y: p.Y}
+		c.Orient = p.Orient
+		if p.Fixed {
 			c.Fixed = true
 			if c.Kind == db.StdCell {
 				c.Kind = db.Macro
 			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 func (r *reader) readScl(f io.Reader, name string) error {

@@ -40,7 +40,7 @@ func WriteDesign(d *db.Design, dir string) (string, error) {
 		{files.Nodes, writeNodes},
 		{files.Nets, writeNets},
 		{files.Wts, writeWts},
-		{files.Pl, writePl},
+		{files.Pl, WritePl},
 		{files.Scl, writeScl},
 		{files.Route, writeRoute},
 		{files.Fence, writeFence},
@@ -141,10 +141,6 @@ func writeWts(w io.Writer, d *db.Design) error {
 // WritePl writes just the placement (.pl) file for the design — the
 // artifact the placer CLIs and the placerd result endpoint ship.
 func WritePl(w io.Writer, d *db.Design) error {
-	return writePl(w, d)
-}
-
-func writePl(w io.Writer, d *db.Design) error {
 	fmt.Fprintf(w, "UCLA pl 1.0\n\n")
 	for i := range d.Cells {
 		c := &d.Cells[i]

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/dp"
+	"repro/internal/eco"
 	"repro/internal/legal"
 	"repro/internal/obs"
 	"repro/internal/snap"
@@ -272,6 +273,10 @@ type Result struct {
 
 	// Stage wall-clock durations.
 	GPTime, RouteOptTime, LegalTime, DPTime time.Duration
+
+	// Eco is the windowed repair's report when PlaceDelta repaired the
+	// delta; nil for a full-flow run, fallbacks included.
+	Eco *eco.Result
 }
 
 // Trace records the convergence of level-0 global placement.

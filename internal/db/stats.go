@@ -5,36 +5,41 @@ import (
 	"strings"
 )
 
-// Stats summarizes a design for reporting and benchmark tables.
+// Stats summarizes a design for reporting and benchmark tables. Its JSON
+// form is the run report's design header (internal/obs, pinned by a
+// golden-file test), so a renamed tag is a report-version bump.
 type Stats struct {
-	Name        string
-	NumCells    int
-	NumStdCells int
-	NumMacros   int
-	NumMovMacro int
-	NumTerms    int
-	NumFixed    int
-	NumNets     int
-	NumPins     int
-	NumRegions  int
-	NumModules  int
-	MaxDegree   int
-	AvgDegree   float64
-	Utilization float64
-	DieW, DieH  float64
+	Name         string  `json:"name"`
+	NumCells     int     `json:"cells"`
+	NumStdCells  int     `json:"std_cells"`
+	NumMacros    int     `json:"macros"`
+	NumMovMacro  int     `json:"movable_macros"`
+	NumTerms     int     `json:"terminals"`
+	NumFixed     int     `json:"-"`
+	NumNets      int     `json:"nets"`
+	NumPins      int     `json:"pins"`
+	NumRegions   int     `json:"fences"`
+	NumModules   int     `json:"modules"`
+	MaxDegree    int     `json:"-"`
+	AvgDegree    float64 `json:"-"`
+	Utilization  float64 `json:"utilization"`
+	DieW         float64 `json:"die_w"`
+	DieH         float64 `json:"die_h"`
+	HasRouteGrid bool    `json:"has_route_grid"`
 }
 
 // ComputeStats gathers summary statistics for the design.
 func (d *Design) ComputeStats() Stats {
 	s := Stats{
-		Name:       d.Name,
-		NumCells:   len(d.Cells),
-		NumNets:    len(d.Nets),
-		NumPins:    len(d.Pins),
-		NumRegions: len(d.Regions),
-		NumModules: len(d.Modules),
-		DieW:       d.Die.W(),
-		DieH:       d.Die.H(),
+		Name:         d.Name,
+		NumCells:     len(d.Cells),
+		NumNets:      len(d.Nets),
+		NumPins:      len(d.Pins),
+		NumRegions:   len(d.Regions),
+		NumModules:   len(d.Modules),
+		DieW:         d.Die.W(),
+		DieH:         d.Die.H(),
+		HasRouteGrid: d.Route != nil,
 	}
 	for i := range d.Cells {
 		c := &d.Cells[i]

@@ -40,13 +40,14 @@ const eps = 1e-9
 // windowSize is the local-reorder window; its cost grows factorially.
 const windowSize = 3
 
+// swapRadius is the neighbourhood, in row heights, searched for swap
+// partners around a cell's optimal position.
+const swapRadius = 10
+
 // Options tunes detailed placement.
 type Options struct {
 	// Passes is the number of full optimization sweeps (default 2).
 	Passes int
-	// SwapRadius is the neighbourhood, in row heights, searched for swap
-	// partners around a cell's optimal position (default 10).
-	SwapRadius float64
 
 	// Workers is the propose-phase worker count, resolved through
 	// par.Workers (≤ 0 selects the automatic default). Placement output
@@ -83,9 +84,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Passes <= 0 {
 		o.Passes = 2
-	}
-	if o.SwapRadius <= 0 {
-		o.SwapRadius = 10
 	}
 	if o.CongPenalty <= 0 {
 		o.CongPenalty = 0.5

@@ -45,7 +45,7 @@ func TestGlobalSwapUncrosses(t *testing.T) {
 	d.Cells[a].Pos = geom.Point{X: 80, Y: 0}
 	d.Cells[c].Pos = geom.Point{X: 20, Y: 0}
 	before := d.HPWL()
-	res := Optimize(d, Options{Passes: 1, SwapRadius: 20})
+	res := Optimize(d, Options{Passes: 1})
 	if res.Swaps < 1 {
 		t.Fatalf("expected a swap, got %+v", res)
 	}

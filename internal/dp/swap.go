@@ -145,7 +145,7 @@ func (o *optimizer) globalSwap() int {
 	if rowH <= 0 {
 		rowH = 1
 	}
-	o.idx.build(d, o.cells, o.cellClass, o.classes, rowH*o.opt.SwapRadius)
+	o.idx.build(d, o.cells, o.cellClass, o.classes, rowH*swapRadius)
 	o.buildAnchors()
 	if cap(o.swapProps) < len(o.cells) {
 		o.swapProps = make([]swapProposal, len(o.cells))

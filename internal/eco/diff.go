@@ -75,15 +75,12 @@ func (df *Diff) ReuseRatio() float64 {
 }
 
 // NeedFull reports whether the delta is outside windowed repair's reach:
-// a macro changed, or the dirty fraction exceeds maxDirtyFrac (≤ 0 means
-// the default 0.25) — past that, repairing windows costs more than it
-// saves and quality suffers from the frozen surroundings.
-func (df *Diff) NeedFull(maxDirtyFrac float64) bool {
+// a macro changed, or the dirty fraction exceeds maxDirtyFrac — past that,
+// repairing windows costs more than it saves and quality suffers from the
+// frozen surroundings.
+func (df *Diff) NeedFull() bool {
 	if df.MacroDelta {
 		return true
-	}
-	if maxDirtyFrac <= 0 {
-		maxDirtyFrac = DefaultMaxDirtyFrac
 	}
 	total := len(df.Unchanged) + len(df.Changed) + len(df.Added)
 	if total == 0 {
@@ -92,9 +89,9 @@ func (df *Diff) NeedFull(maxDirtyFrac float64) bool {
 	return float64(df.DirtyCount())/float64(total) > maxDirtyFrac
 }
 
-// DefaultMaxDirtyFrac is the dirty-set fraction above which NeedFull
-// recommends a from-scratch place.
-const DefaultMaxDirtyFrac = 0.25
+// maxDirtyFrac is the dirty-set fraction above which NeedFull recommends
+// a from-scratch place.
+const maxDirtyFrac = 0.25
 
 // DiffDesigns computes the full netlist diff between a base design and the
 // edited next design. Both designs are read-only; the result indexes

@@ -136,7 +136,7 @@ func TestDiffMacroDeltaForcesFull(t *testing.T) {
 	if !df.MacroDelta {
 		t.Fatal("macro addition must set MacroDelta")
 	}
-	if !df.NeedFull(0) {
+	if !df.NeedFull() {
 		t.Fatal("macro addition must force NeedFull")
 	}
 	if _, err := Place(next, df, FromDesign(base), Options{}); err != ErrNeedFull {
@@ -145,7 +145,7 @@ func TestDiffMacroDeltaForcesFull(t *testing.T) {
 
 	// Macro removal, same story.
 	df2 := DiffDesigns(next, base)
-	if !df2.MacroDelta || !df2.NeedFull(0) {
+	if !df2.MacroDelta || !df2.NeedFull() {
 		t.Fatalf("macro removal must force full place: %+v", df2)
 	}
 }
@@ -163,11 +163,8 @@ func TestDiffDirtyFractionForcesFull(t *testing.T) {
 	if df.Empty() {
 		t.Fatal("rewire must not be empty")
 	}
-	if !df.NeedFull(0.25) {
+	if !df.NeedFull() {
 		t.Fatalf("dirty fraction %d/%d should exceed 0.25", df.DirtyCount(), len(next.Cells))
-	}
-	if df.NeedFull(1.5) {
-		t.Fatal("a 150%% budget should accept any std-cell delta")
 	}
 }
 

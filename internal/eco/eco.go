@@ -15,9 +15,8 @@ import (
 )
 
 // ErrNeedFull is returned by Place when the diff is outside windowed
-// repair's reach (a macro delta, or a dirty fraction above
-// DefaultMaxDirtyFrac). Callers should fall back to a from-scratch
-// core.PlaceContext run.
+// repair's reach (Diff.NeedFull). core.Placer.PlaceDelta then falls back
+// to a from-scratch run.
 var ErrNeedFull = errors.New("eco: delta needs a full place")
 
 // Options configures the windowed repair pass. The zero value is
@@ -91,7 +90,7 @@ func Place(next *db.Design, df *Diff, base *Placement, opt Options) (Result, err
 	if len(next.Cells) == 0 {
 		return res, fmt.Errorf("eco: empty design")
 	}
-	if df.NeedFull(DefaultMaxDirtyFrac) {
+	if df.NeedFull() {
 		transfer(next, df, base)
 		return res, ErrNeedFull
 	}

@@ -89,7 +89,7 @@ func TestWindowRepairSmallDelta(t *testing.T) {
 		if df.Empty() {
 			t.Fatal("perturbation produced an empty diff")
 		}
-		if df.NeedFull(0) {
+		if df.NeedFull() {
 			t.Fatalf("small delta should be repairable: dirty %d of %d", df.DirtyCount(), len(next.Cells))
 		}
 		// MarginRows 2: the default 8-row margin is sized for real

@@ -23,12 +23,10 @@
 package eco
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
+	"repro/internal/bookshelf"
 	"repro/internal/db"
 	"repro/internal/snap"
 )
@@ -92,66 +90,19 @@ func FromSnap(st *snap.State, d *db.Design) (*Placement, error) {
 }
 
 // ReadPl parses a UCLA .pl stream (the format cmd/placer and placerd
-// emit) into a base placement.
+// emit) into a base placement. Every name is kept; a repeated name keeps
+// its first place in Order and its last line's state.
 func ReadPl(r io.Reader) (*Placement, error) {
 	p := &Placement{Cells: make(map[string]CellPlace)}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	line := 0
-	seenHeader := false
-	for sc.Scan() {
-		line++
-		s := strings.TrimSpace(sc.Text())
-		if s == "" || strings.HasPrefix(s, "#") {
-			continue
+	err := bookshelf.ReadPl(r, "base.pl", func(rec bookshelf.PlRecord) error {
+		if _, dup := p.Cells[rec.Name]; !dup {
+			p.Order = append(p.Order, rec.Name)
 		}
-		if !seenHeader {
-			if !strings.HasPrefix(s, "UCLA") {
-				return nil, fmt.Errorf("eco: pl line %d: missing UCLA header", line)
-			}
-			seenHeader = true
-			continue
-		}
-		fields := strings.Fields(s)
-		if len(fields) < 3 {
-			return nil, fmt.Errorf("eco: pl line %d: need name x y", line)
-		}
-		x, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("eco: pl line %d: bad x %q", line, fields[1])
-		}
-		y, err := strconv.ParseFloat(fields[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("eco: pl line %d: bad y %q", line, fields[2])
-		}
-		cp := CellPlace{X: x, Y: y, Orient: db.N}
-		rest := fields[3:]
-		if len(rest) > 0 && rest[0] == ":" {
-			rest = rest[1:]
-		}
-		if len(rest) > 0 {
-			if o, ok := db.ParseOrient(rest[0]); ok {
-				cp.Orient = o
-				rest = rest[1:]
-			}
-		}
-		for _, tok := range rest {
-			switch strings.ToUpper(tok) {
-			case "/FIXED", "/FIXED_NI":
-				cp.Fixed = true
-			}
-		}
-		name := fields[0]
-		if _, dup := p.Cells[name]; !dup {
-			p.Order = append(p.Order, name)
-		}
-		p.Cells[name] = cp
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("eco: reading pl: %w", err)
-	}
-	if !seenHeader {
-		return nil, fmt.Errorf("eco: empty pl input")
+		p.Cells[rec.Name] = CellPlace{X: rec.X, Y: rec.Y, Orient: rec.Orient, Fixed: rec.Fixed}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("eco: %w", err)
 	}
 	return p, nil
 }

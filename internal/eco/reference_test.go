@@ -254,7 +254,7 @@ func TestDiffDesignsMatchesReferenceOnDeltaMix(t *testing.T) {
 	for s := 1; s <= 3; s++ {
 		for i := 0; i < deltas; i++ {
 			df := checkAgainstRef(t, fmt.Sprintf("seed %d delta %d", s, i), base, perfbenchDelta(in, s, i))
-			if df.Empty() || df.NeedFull(0) {
+			if df.Empty() || df.NeedFull() {
 				t.Fatalf("seed %d delta %d: want a repairable non-empty delta, got %d changed, %d removed, macro %v",
 					s, i, df.ChangedCells(), len(df.RemovedNames), df.MacroDelta)
 			}

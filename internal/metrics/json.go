@@ -3,93 +3,7 @@ package metrics
 import (
 	"encoding/json"
 	"io"
-	"time"
 )
-
-// rowJSON is Row's wire form: stable snake_case field names, durations
-// in seconds. The run-report schema (internal/obs, pinned by a
-// golden-file test) depends on these names — treat renames as
-// report-version bumps.
-type rowJSON struct {
-	Design  string `json:"design"`
-	Variant string `json:"variant"`
-
-	HPWL       float64   `json:"hpwl"`
-	ScaledHPWL float64   `json:"shpwl"`
-	RC         float64   `json:"rc"`
-	ACE        []float64 `json:"ace,omitempty"`
-
-	Overflow  float64 `json:"overflow"`
-	Overlaps  int     `json:"overlaps"`
-	FenceViol int     `json:"fence_violations"`
-	OutOfDie  int     `json:"out_of_die"`
-
-	GPSeconds    float64 `json:"gp_seconds"`
-	TotalSeconds float64 `json:"total_seconds"`
-}
-
-// MarshalJSON renders the row with stable field names and durations in
-// seconds.
-func (r Row) MarshalJSON() ([]byte, error) {
-	return json.Marshal(rowJSON{
-		Design:       r.Design,
-		Variant:      r.Variant,
-		HPWL:         r.HPWL,
-		ScaledHPWL:   r.ScaledHPWL,
-		RC:           r.RC,
-		ACE:          r.ACE,
-		Overflow:     r.Overflow,
-		Overlaps:     r.Overlaps,
-		FenceViol:    r.FenceViol,
-		OutOfDie:     r.OutOfDie,
-		GPSeconds:    r.GPTime.Seconds(),
-		TotalSeconds: r.TotalTime.Seconds(),
-	})
-}
-
-// UnmarshalJSON parses the wire form back into a Row.
-func (r *Row) UnmarshalJSON(data []byte) error {
-	var w rowJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	*r = Row{
-		Design:     w.Design,
-		Variant:    w.Variant,
-		HPWL:       w.HPWL,
-		ScaledHPWL: w.ScaledHPWL,
-		RC:         w.RC,
-		ACE:        w.ACE,
-		Overflow:   w.Overflow,
-		Overlaps:   w.Overlaps,
-		FenceViol:  w.FenceViol,
-		OutOfDie:   w.OutOfDie,
-		GPTime:     time.Duration(w.GPSeconds * float64(time.Second)),
-		TotalTime:  time.Duration(w.TotalSeconds * float64(time.Second)),
-	}
-	return nil
-}
-
-// tableJSON is Table's wire form.
-type tableJSON struct {
-	Title string `json:"title,omitempty"`
-	Rows  []Row  `json:"rows"`
-}
-
-// MarshalJSON renders the table as {title, rows}.
-func (t Table) MarshalJSON() ([]byte, error) {
-	return json.Marshal(tableJSON{Title: t.Title, Rows: t.Rows})
-}
-
-// UnmarshalJSON parses the wire form back into a Table.
-func (t *Table) UnmarshalJSON(data []byte) error {
-	var w tableJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	*t = Table{Title: w.Title, Rows: w.Rows}
-	return nil
-}
 
 // WriteJSON writes the table as indented JSON (the -json CLI output).
 func (t Table) WriteJSON(w io.Writer) error {

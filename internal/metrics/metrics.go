@@ -10,26 +10,29 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Row is one experiment measurement: a placer variant run on a design.
+// Its JSON form is the run report's metrics section (internal/obs, pinned
+// by a golden-file test), so a renamed tag is a report-version bump.
 type Row struct {
-	Design  string
-	Variant string
+	Design  string `json:"design"`
+	Variant string `json:"variant"`
 
-	HPWL       float64
-	ScaledHPWL float64
-	RC         float64
-	ACE        []float64
+	HPWL       float64   `json:"hpwl"`
+	ScaledHPWL float64   `json:"shpwl"`
+	RC         float64   `json:"rc"`
+	ACE        []float64 `json:"ace,omitempty"`
 
-	Overflow  float64
-	Overlaps  int
-	FenceViol int
-	OutOfDie  int
+	Overflow  float64 `json:"overflow"`
+	Overlaps  int     `json:"overlaps"`
+	FenceViol int     `json:"fence_violations"`
+	OutOfDie  int     `json:"out_of_die"`
 
-	GPTime    time.Duration
-	TotalTime time.Duration
+	// GPSeconds and TotalSeconds are the global-placement and whole-run
+	// wall times.
+	GPSeconds    float64 `json:"gp_seconds"`
+	TotalSeconds float64 `json:"total_seconds"`
 }
 
 // Header returns the column header matching Row.String.
@@ -42,13 +45,13 @@ func Header() string {
 func (r Row) String() string {
 	return fmt.Sprintf("%-10s %-14s %12.4g %12.4g %7.1f %9.4f %5d %5d %5d %8.2f %8.2f",
 		r.Design, r.Variant, r.HPWL, r.ScaledHPWL, r.RC, r.Overflow,
-		r.Overlaps, r.FenceViol, r.OutOfDie, r.GPTime.Seconds(), r.TotalTime.Seconds())
+		r.Overlaps, r.FenceViol, r.OutOfDie, r.GPSeconds, r.TotalSeconds)
 }
 
 // Table is an ordered collection of rows with group-aware rendering.
 type Table struct {
-	Title string
-	Rows  []Row
+	Title string `json:"title,omitempty"`
+	Rows  []Row  `json:"rows"`
 }
 
 // Add appends a row.

@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestGeoMean(t *testing.T) {
@@ -52,7 +51,7 @@ func TestRowRendering(t *testing.T) {
 		Design: "sb-a", Variant: "ntuplace4h",
 		HPWL: 123456, ScaledHPWL: 150000, RC: 104.2,
 		Overflow: 0.08, Overlaps: 0, FenceViol: 0,
-		GPTime: 2 * time.Second, TotalTime: 5 * time.Second,
+		GPSeconds: 2, TotalSeconds: 5,
 	}
 	s := r.String()
 	for _, want := range []string{"sb-a", "ntuplace4h", "104.2"} {

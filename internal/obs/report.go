@@ -26,7 +26,7 @@ type Report struct {
 	// CLIs and placerd still flush a full report on cancellation).
 	Canceled bool `json:"canceled,omitempty"`
 
-	Design *DesignInfo `json:"design,omitempty"`
+	Design *db.Stats `json:"design,omitempty"`
 	// Config is the tool configuration (the placer's core.Config, or a
 	// CLI-specific record for the evaluator).
 	Config any `json:"config,omitempty"`
@@ -99,45 +99,6 @@ type SpanRecord struct {
 	// recorder sampled resources).
 	Resources *ResourceRecord `json:"resources,omitempty"`
 	Children  []*SpanRecord   `json:"children,omitempty"`
-}
-
-// DesignInfo summarizes the placed design for the report header.
-type DesignInfo struct {
-	Name         string  `json:"name"`
-	Cells        int     `json:"cells"`
-	StdCells     int     `json:"std_cells"`
-	Macros       int     `json:"macros"`
-	MovableMacro int     `json:"movable_macros"`
-	Terminals    int     `json:"terminals"`
-	Nets         int     `json:"nets"`
-	Pins         int     `json:"pins"`
-	Fences       int     `json:"fences"`
-	Modules      int     `json:"modules"`
-	Utilization  float64 `json:"utilization"`
-	DieW         float64 `json:"die_w"`
-	DieH         float64 `json:"die_h"`
-	HasRouteGrid bool    `json:"has_route_grid"`
-}
-
-// DescribeDesign builds the report's design summary from a design.
-func DescribeDesign(d *db.Design) *DesignInfo {
-	s := d.ComputeStats()
-	return &DesignInfo{
-		Name:         s.Name,
-		Cells:        s.NumCells,
-		StdCells:     s.NumStdCells,
-		Macros:       s.NumMacros,
-		MovableMacro: s.NumMovMacro,
-		Terminals:    s.NumTerms,
-		Nets:         s.NumNets,
-		Pins:         s.NumPins,
-		Fences:       s.NumRegions,
-		Modules:      s.NumModules,
-		Utilization:  s.Utilization,
-		DieW:         s.DieW,
-		DieH:         s.DieH,
-		HasRouteGrid: d.Route != nil,
-	}
 }
 
 // BuildReport snapshots the recorder's telemetry into a Report. The

@@ -60,14 +60,15 @@ func goldenReport() *Report {
 
 	rep := rec.BuildReport()
 	rep.Tool = "placer"
-	rep.Design = DescribeDesign(d)
+	stats := d.ComputeStats()
+	rep.Design = &stats
 	rep.Config = map[string]any{"model": "wa", "workers": 4}
 	rep.Metrics = &metrics.Row{
 		Design: "golden", Variant: "wa",
 		HPWL: 1.3e6, ScaledHPWL: 1.36e6, RC: 101.5,
 		ACE:      []float64{1.2, 1.1, 1.05, 1.0},
 		Overflow: 0.08, Overlaps: 0, FenceViol: 0,
-		GPTime: 1500 * time.Millisecond, TotalTime: 2250 * time.Millisecond,
+		GPSeconds: 1.5, TotalSeconds: 2.25,
 	}
 	return rep
 }
@@ -114,7 +115,7 @@ func TestReportRoundTrip(t *testing.T) {
 	if back.Version != ReportVersion || back.Tool != "placer" {
 		t.Errorf("header = %d %q", back.Version, back.Tool)
 	}
-	if back.Design == nil || back.Design.Name != "golden" || back.Design.Cells != 2 {
+	if back.Design == nil || back.Design.Name != "golden" || back.Design.NumCells != 2 {
 		t.Errorf("design = %+v", back.Design)
 	}
 	if len(back.GPTrace) != 2 || back.GPTrace[1].Phase != "respread" {
@@ -123,7 +124,7 @@ func TestReportRoundTrip(t *testing.T) {
 	if len(back.RouteTrace) != 2 || back.RouteTrace[1].Batches != 9 {
 		t.Errorf("route trace = %+v", back.RouteTrace)
 	}
-	if back.Metrics == nil || back.Metrics.GPTime != 1500*time.Millisecond {
+	if back.Metrics == nil || back.Metrics.GPSeconds != 1.5 {
 		t.Errorf("metrics = %+v", back.Metrics)
 	}
 	if len(back.Spans) != 2 || back.Spans[0].Children[0].Counters["lambda_rounds"] != 1 {

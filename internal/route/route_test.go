@@ -125,7 +125,7 @@ func TestPatternRouteAvoidsCongestion(t *testing.T) {
 
 func TestMazeRouteFindsDetour(t *testing.T) {
 	g := uniform(8, 8, 1)
-	r := NewRouter(g, RouterOptions{OverflowPenalty: 100})
+	r := NewRouter(g, RouterOptions{})
 	// Wall of zero capacity across column 3..4 except at the top row.
 	for y := 0; y < 7; y++ {
 		g.HCap[g.HIdx(3, y)] = 0

@@ -16,14 +16,6 @@ type RouterOptions struct {
 	// MaxRRRIters is the number of rip-up-and-reroute rounds after the
 	// initial pattern-routing pass (default 4).
 	MaxRRRIters int
-	// HistoryInc is added to every overflowed edge's history cost per
-	// round (default 0.5).
-	HistoryInc float64
-	// OverflowPenalty is the cost slope per unit of overflow (default 8).
-	OverflowPenalty float64
-	// ZSamples is the number of intermediate bend positions tried per
-	// Z-shape direction in pattern routing (default 8).
-	ZSamples int
 	// Workers is the rip-up-and-reroute worker count; ≤ 0 selects the
 	// shared automatic policy (par.Workers: REPRO_WORKERS env override,
 	// else GOMAXPROCS capped). The routed Result is byte-identical for
@@ -43,17 +35,20 @@ func (o RouterOptions) withDefaults() RouterOptions {
 	if o.MaxRRRIters <= 0 {
 		o.MaxRRRIters = 4
 	}
-	if o.HistoryInc <= 0 {
-		o.HistoryInc = 0.5
-	}
-	if o.OverflowPenalty <= 0 {
-		o.OverflowPenalty = 8
-	}
-	if o.ZSamples <= 0 {
-		o.ZSamples = 8
-	}
 	return o
 }
+
+// Fixed tuning of the router: every run uses these values.
+const (
+	// historyInc is added to every overflowed edge's history cost per
+	// round.
+	historyInc = 0.5
+	// overflowPenalty is the cost slope per unit of overflow.
+	overflowPenalty = 8
+	// zSamples is the number of intermediate bend positions tried per
+	// Z-shape direction in pattern routing.
+	zSamples = 8
+)
 
 // tile is a grid coordinate.
 type tile struct{ x, y int }
@@ -313,10 +308,10 @@ func appendSeg(segs []segment, net int, a, b tile) []segment {
 func (r *Router) edgeCost(dem, cap, hist float64) float64 {
 	c := 1 + hist
 	if cap <= 0 {
-		return c * (1 + r.opt.OverflowPenalty*(dem+1))
+		return c * (1 + overflowPenalty*(dem+1))
 	}
 	if over := dem + 1 - cap; over > 0 {
-		c *= 1 + r.opt.OverflowPenalty*over/cap
+		c *= 1 + overflowPenalty*over/cap
 	}
 	return c
 }
@@ -380,12 +375,12 @@ func (r *Router) commit(path []tile, dir float64) {
 func (r *Router) bumpHistory() {
 	for i := range r.G.HDem {
 		if r.G.HDem[i] > r.G.HCap[i] {
-			r.G.HHist[i] += r.opt.HistoryInc
+			r.G.HHist[i] += historyInc
 		}
 	}
 	for i := range r.G.VDem {
 		if r.G.VDem[i] > r.G.VCap[i] {
-			r.G.VHist[i] += r.opt.HistoryInc
+			r.G.VHist[i] += historyInc
 		}
 	}
 }
@@ -451,11 +446,11 @@ func (r *Router) patternRouteInto(dst []tile, a, b tile) []tile {
 	default:
 		// L shapes are the z-shape extremes, covered by the sweeps at the
 		// endpoint columns/rows.
-		r.samples = sampleInto(r.samples[:0], a.x, b.x, r.opt.ZSamples)
+		r.samples = sampleInto(r.samples[:0], a.x, b.x, zSamples)
 		for _, c := range r.samples {
 			try(c, true)
 		}
-		r.samples = sampleInto(r.samples[:0], a.y, b.y, r.opt.ZSamples)
+		r.samples = sampleInto(r.samples[:0], a.y, b.y, zSamples)
 		for _, c := range r.samples {
 			try(c, false)
 		}

@@ -77,12 +77,12 @@ func (m *Manager) resolveEcoBase(spec Spec, resume *snap.State) (*ecoBase, error
 	return &ecoBase{fingerprint: spec.BaseFingerprint, pl: pl}, nil
 }
 
-// placeEco is the delta-job body: diff against the base, transfer the
-// reusable positions, repair only the changed neighborhoods. A delta out
-// of windowed repair's reach (macro change, dirty fraction too large)
-// falls back to the full from-scratch flow and marks the eco summary
-// accordingly — the job still succeeds, it just pays full price.
-func (m *Manager) placeEco(ctx context.Context, j *Job, placer *core.Placer, d *db.Design, cfg core.Config, rec *obs.Recorder) (core.Result, *obs.EcoSummary, error) {
+// placeEco is the delta-job body: diff against the base and place through
+// the placer's one ECO entry, which repairs only the changed
+// neighborhoods. A delta out of windowed repair's reach falls back to the
+// full from-scratch flow and marks the eco summary accordingly — the job
+// still succeeds, it just pays full price.
+func (m *Manager) placeEco(ctx context.Context, j *Job, placer *core.Placer, d *db.Design) (core.Result, *obs.EcoSummary, error) {
 	eb := j.ecoBase
 	var df *eco.Diff
 	if eb.design != nil {
@@ -95,28 +95,15 @@ func (m *Manager) placeEco(ctx context.Context, j *Job, placer *core.Placer, d *
 		ChangedCells: df.ChangedCells(), ReuseRatio: df.ReuseRatio(),
 	}
 	t0 := time.Now()
-	eres, err := eco.Place(d, df, eb.pl, eco.Options{Workers: cfg.Workers, Obs: rec})
-	switch {
-	case err == eco.ErrNeedFull:
-		m.opt.Logger.Info("eco delta out of reach, running full place", "job", j.ID,
-			"changed_cells", df.ChangedCells(), "removed", len(df.RemovedNames), "macro_delta", df.MacroDelta)
+	res, err := placer.PlaceDelta(ctx, d, df, eb.pl)
+	if e := res.Eco; e == nil {
 		sum.FellBack = true
-		res, perr := placer.PlaceContext(ctx, d)
-		return res, sum, perr
-	case err != nil:
-		return core.Result{}, sum, err
+	} else if err == nil {
+		sum.Windows = len(e.Windows)
+		sum.ReuseRatio = e.ReuseRatio
+		m.opt.Logger.Info("eco repair done", "job", j.ID,
+			"changed_cells", e.ChangedCells, "windows", len(e.Windows),
+			"reuse_ratio", e.ReuseRatio, "dur", time.Since(t0))
 	}
-	sum.Windows = len(eres.Windows)
-	sum.ReuseRatio = eres.ReuseRatio
-	m.opt.Logger.Info("eco repair done", "job", j.ID,
-		"changed_cells", eres.ChangedCells, "windows", len(eres.Windows),
-		"reuse_ratio", eres.ReuseRatio, "dur", time.Since(t0))
-	return core.Result{
-		HPWLFinal:       eres.HPWL,
-		Overlaps:        eres.Overlaps,
-		FenceViolations: eres.FenceViolations,
-		OutOfDie:        eres.OutOfDie,
-		LegalTime:       eres.LegalTime,
-		DPTime:          eres.DPTime,
-	}, sum, nil
+	return res, sum, err
 }

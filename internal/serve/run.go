@@ -71,7 +71,7 @@ func (m *Manager) placeJob(ctx context.Context, j *Job) error {
 	var placeErr error
 	var ecoSum *obs.EcoSummary
 	if j.ecoBase != nil {
-		res, ecoSum, placeErr = m.placeEco(ctx, j, placer, d, cfg, rec)
+		res, ecoSum, placeErr = m.placeEco(ctx, j, placer, d)
 	} else if j.resume != nil {
 		// Recovered job with a journaled checkpoint: resume mid-flow. A
 		// resume rejected up front (e.g. the reloaded design no longer
@@ -94,7 +94,7 @@ func (m *Manager) placeJob(ctx context.Context, j *Job) error {
 		Design: d.Name, Variant: "placerd",
 		HPWL: res.HPWLFinal, Overflow: res.Overflow,
 		Overlaps: res.Overlaps, FenceViol: res.FenceViolations, OutOfDie: res.OutOfDie,
-		GPTime: res.GPTime, TotalTime: total,
+		GPSeconds: res.GPTime.Seconds(), TotalSeconds: total.Seconds(),
 	}
 	if placeErr == nil && j.Spec.Evaluate && d.Route != nil {
 		sc, err := route.EvaluateDesignCtx(ctx, d, route.RouterOptions{
@@ -111,7 +111,8 @@ func (m *Manager) placeJob(ctx context.Context, j *Job) error {
 
 	rep := rec.BuildReport()
 	rep.Tool = "placerd"
-	rep.Design = obs.DescribeDesign(d)
+	stats := d.ComputeStats()
+	rep.Design = &stats
 	rep.Config = cfg
 	rep.Metrics = &row
 	rep.Eco = ecoSum

@@ -19,8 +19,6 @@ type ServerOptions struct {
 	// MaxBodyBytes bounds submission bodies (default 32 MiB; inline
 	// Bookshelf bundles can be large).
 	MaxBodyBytes int64
-	// RetryAfterSec is the Retry-After hint on 429 responses (default 2).
-	RetryAfterSec int
 	// Pprof mounts net/http/pprof under /debug/pprof/. Off by default:
 	// profiling endpoints expose internals and cost CPU, so enabling them
 	// is a deployment decision (cmd/placerd -pprof).
@@ -31,11 +29,11 @@ func (o ServerOptions) withDefaults() ServerOptions {
 	if o.MaxBodyBytes <= 0 {
 		o.MaxBodyBytes = 32 << 20
 	}
-	if o.RetryAfterSec <= 0 {
-		o.RetryAfterSec = 2
-	}
 	return o
 }
+
+// retryAfterSec is the Retry-After hint, in seconds, on 429 responses.
+const retryAfterSec = 2
 
 // JobView is what the /jobs API reads from one job. *Job implements it,
 // and so does the fleet coordinator's job.
@@ -160,7 +158,7 @@ func (s *Server[J]) WriteError(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrBadSpec):
 		code = http.StatusBadRequest
 	case errors.Is(err, ErrQueueFull):
-		w.Header().Set("Retry-After", strconv.Itoa(s.opt.RetryAfterSec))
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSec))
 		code = http.StatusTooManyRequests
 		body.QueueDepth = s.b.QueueDepth()
 		body.QueueCap = s.b.QueueCap()
