@@ -12,10 +12,8 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"os/signal"
 	"runtime"
@@ -90,7 +88,8 @@ func run() error {
 			}
 		}()
 	}
-	rec, err := buildRecorder(*report, *trace, *verbose, *logLvl)
+	tel := obs.CLI{Tool: "evaluate", Report: *report, Trace: *trace, Verbose: *verbose, LogLevel: *logLvl}
+	rec, err := tel.Recorder()
 	if err != nil {
 		return err
 	}
@@ -138,7 +137,7 @@ func run() error {
 		MaxRRRIters: *rrr, Workers: *workers, Obs: rec, TraceLabel: "evaluate",
 	})
 	if err != nil {
-		return flushCanceledReport(rec, *report, *trace, d, *rrr, *workers, err)
+		return tel.FlushCanceled(rec, map[string]any{"rrr": *rrr, "workers": *workers}, d, err)
 	}
 	// The row carries no wall time: evaluate's stdout stays byte-identical
 	// across runs and worker counts (the determinism check diffs it), and
@@ -174,59 +173,6 @@ func run() error {
 		fmt.Println("wrote", *svgPath)
 	}
 	return finishEvaluate(rec, d, row, *report, *trace, *asJSON, *rrr, *workers)
-}
-
-// flushCanceledReport writes the -report and -trace post-mortems for a
-// run that ended early — with the canceled marker when the cause was
-// SIGINT or -timeout — and passes the run error through.
-func flushCanceledReport(rec *obs.Recorder, report, trace string, d *db.Design, rrr, workers int, runErr error) error {
-	if report == "" && trace == "" {
-		return runErr
-	}
-	rep := rec.BuildReport()
-	rep.Tool = "evaluate"
-	stats := d.ComputeStats()
-	rep.Design = &stats
-	rep.Config = map[string]any{"rrr": rrr, "workers": workers}
-	rep.Canceled = errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded)
-	if report != "" {
-		if err := rep.WriteFile(report); err != nil {
-			fmt.Fprintln(os.Stderr, "evaluate: report:", err)
-		} else {
-			fmt.Println("wrote", report)
-		}
-	}
-	if trace != "" {
-		if err := rep.WriteChromeTraceFile(trace); err != nil {
-			fmt.Fprintln(os.Stderr, "evaluate: trace:", err)
-		} else {
-			fmt.Println("wrote", trace)
-		}
-	}
-	return runErr
-}
-
-// buildRecorder constructs the telemetry recorder the flags ask for, or
-// nil (telemetry fully disabled) when none do.
-func buildRecorder(report, trace string, verbose bool, level string) (*obs.Recorder, error) {
-	if verbose && level == "" {
-		level = "debug"
-	}
-	var logger *slog.Logger
-	if level != "" {
-		var lv slog.Level
-		if err := lv.UnmarshalText([]byte(level)); err != nil {
-			return nil, fmt.Errorf("bad -log-level %q (want debug, info, warn or error)", level)
-		}
-		logger = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lv}))
-	}
-	if report == "" && trace == "" && logger == nil {
-		return nil, nil
-	}
-	return obs.New(obs.Config{
-		Logger:          logger,
-		SampleResources: report != "" || trace != "",
-	}), nil
 }
 
 // finishEvaluate prints the score row (text table, plus JSON with -json)

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"context"
+	"encoding/json"
 	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +13,7 @@ import (
 	"repro/internal/bookshelf"
 	"repro/internal/db"
 	"repro/internal/eco"
+	"repro/internal/gen"
 	"repro/internal/geom"
 )
 
@@ -118,5 +122,40 @@ func TestApplyPlMissingFile(t *testing.T) {
 	d := b.MustDesign()
 	if err := applyPl(d, "/nonexistent/file.pl"); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// TestTimeoutWritesCanceledReport drives evaluate's -timeout path on a
+// design with a routing grid: the run must fail with the deadline and
+// still write a report naming the tool, marked canceled, with the
+// routing knobs as its config.
+func TestTimeoutWritesCanceledReport(t *testing.T) {
+	dir := t.TempDir()
+	aux, err := bookshelf.WriteDesign(gen.MustGenerate(gen.SmallSuite()[0]), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := filepath.Join(dir, "r.json")
+	oldArgs, oldFlags := os.Args, flag.CommandLine
+	defer func() { os.Args, flag.CommandLine = oldArgs, oldFlags }()
+	os.Args = []string{"evaluate", "-aux", aux, "-timeout", "1ns", "-workers", "1", "-report", report}
+	flag.CommandLine = flag.NewFlagSet("evaluate", flag.ContinueOnError)
+	if err := run(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("run = %v, want the deadline", err)
+	}
+	raw, err := os.ReadFile(report)
+	if err != nil {
+		t.Fatalf("no report after the timeout: %v", err)
+	}
+	var rep struct {
+		Tool     string         `json:"tool"`
+		Canceled bool           `json:"canceled"`
+		Config   map[string]int `json:"config"`
+	}
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Tool != "evaluate" || !rep.Canceled || rep.Config["workers"] != 1 {
+		t.Errorf("report has tool %q, canceled %v, config %v; want evaluate, true, workers 1", rep.Tool, rep.Canceled, rep.Config)
 	}
 }

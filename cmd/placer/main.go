@@ -36,10 +36,8 @@ package main
 import (
 	"bytes"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -135,7 +133,11 @@ func run() error {
 		}()
 	}
 
-	rec, err := buildRecorder(*report, *tracePath, *heatDir, *verbose, *logLevel)
+	tel := obs.CLI{
+		Tool: "placer", Report: *report, Trace: *tracePath,
+		Heatmaps: *heatDir != "", Verbose: *verbose, LogLevel: *logLevel,
+	}
+	rec, err := tel.Recorder()
 	if err != nil {
 		return err
 	}
@@ -210,7 +212,7 @@ func run() error {
 		res, err = placer.PlaceContext(ctx, d)
 	}
 	if err != nil {
-		return flushCanceledReport(rec, *report, *tracePath, cfg, d, err)
+		return tel.FlushCanceled(rec, cfg, d, err)
 	}
 	total := time.Since(t0)
 
@@ -233,7 +235,7 @@ func run() error {
 	if *evaluate && d.Route != nil {
 		m, err := route.EvaluateDesignCtx(ctx, d, route.RouterOptions{Workers: *workers, Obs: rec, TraceLabel: "evaluate"})
 		if err != nil {
-			return flushCanceledReport(rec, *report, *tracePath, cfg, d, err)
+			return tel.FlushCanceled(rec, cfg, d, err)
 		}
 		row.ScaledHPWL = m.ScaledHPWL
 		row.RC = m.RC
@@ -329,62 +331,6 @@ func loadBasePlacement(path string, d *db.Design) (*eco.Placement, error) {
 		return eco.FromSnap(st, d)
 	}
 	return eco.ReadPl(bytes.NewReader(data))
-}
-
-// flushCanceledReport writes the -report and -trace post-mortems for a
-// run that ended early — with the canceled marker when the cause was
-// SIGINT or -timeout — and passes the run error through.
-func flushCanceledReport(rec *obs.Recorder, report, trace string, cfg core.Config, d *db.Design, runErr error) error {
-	if report == "" && trace == "" {
-		return runErr
-	}
-	rep := rec.BuildReport()
-	rep.Tool = "placer"
-	stats := d.ComputeStats()
-	rep.Design = &stats
-	rep.Config = cfg
-	rep.Canceled = errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded)
-	if report != "" {
-		if err := rep.WriteFile(report); err != nil {
-			fmt.Fprintln(os.Stderr, "placer: report:", err)
-		} else {
-			fmt.Println("wrote", report)
-		}
-	}
-	if trace != "" {
-		if err := rep.WriteChromeTraceFile(trace); err != nil {
-			fmt.Fprintln(os.Stderr, "placer: trace:", err)
-		} else {
-			fmt.Println("wrote", trace)
-		}
-	}
-	return runErr
-}
-
-// buildRecorder constructs the telemetry recorder the flags ask for, or
-// nil (telemetry fully disabled) when none do. Resource sampling rides
-// along whenever a report or trace will be rendered — it is a handful of
-// runtime/metrics reads per stage, and both outputs attribute cost.
-func buildRecorder(report, trace, heatDir string, verbose bool, level string) (*obs.Recorder, error) {
-	if verbose && level == "" {
-		level = "debug"
-	}
-	var logger *slog.Logger
-	if level != "" {
-		var lv slog.Level
-		if err := lv.UnmarshalText([]byte(level)); err != nil {
-			return nil, fmt.Errorf("bad -log-level %q (want debug, info, warn or error)", level)
-		}
-		logger = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lv}))
-	}
-	if report == "" && trace == "" && heatDir == "" && logger == nil {
-		return nil, nil
-	}
-	return obs.New(obs.Config{
-		Logger:          logger,
-		CaptureHeatmaps: heatDir != "",
-		SampleResources: report != "" || trace != "",
-	}), nil
 }
 
 // writeHeatmaps renders every captured per-round congestion map as an SVG

@@ -3,6 +3,8 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,6 +14,7 @@ import (
 	"repro/internal/db"
 	"repro/internal/gen"
 	"repro/internal/geom"
+	"repro/internal/obs"
 )
 
 func TestVariantName(t *testing.T) {
@@ -88,7 +91,7 @@ func TestTraceMatchesReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := buildRecorder("r.json", "t.json", "", false, "")
+	rec, err := obs.CLI{Tool: "placer", Report: "r.json", Trace: "t.json"}.Recorder()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,5 +205,50 @@ func TestWritePl(t *testing.T) {
 	// result.pl and every pinned .pl digest write it.
 	if !strings.Contains(out, "p 0 7 : N /FIXED_NI\n") {
 		t.Errorf("terminal line missing: %q", out)
+	}
+}
+
+// TestTimeoutWritesCanceledReport drives the placer's -timeout path: the
+// run must fail with the deadline and still write a report and a trace,
+// the report naming the tool and carrying the canceled marker.
+func TestTimeoutWritesCanceledReport(t *testing.T) {
+	dir := t.TempDir()
+	report, trace := filepath.Join(dir, "r.json"), filepath.Join(dir, "t.json")
+	err := runWithArgs("-synth", "sb-a", "-timeout", "200ms", "-out", dir, "-report", report, "-trace", trace)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("run = %v, want the deadline", err)
+	}
+	checkCanceledReport(t, report, "placer")
+	if _, err := os.Stat(trace); err != nil {
+		t.Errorf("no trace after the timeout: %v", err)
+	}
+}
+
+// runWithArgs runs the placer's command line args on a fresh flag set.
+func runWithArgs(args ...string) error {
+	oldArgs, oldFlags := os.Args, flag.CommandLine
+	defer func() { os.Args, flag.CommandLine = oldArgs, oldFlags }()
+	os.Args = append([]string{"placer"}, args...)
+	flag.CommandLine = flag.NewFlagSet("placer", flag.ContinueOnError)
+	return run()
+}
+
+// checkCanceledReport requires the run report at path to name tool and
+// to be marked canceled.
+func checkCanceledReport(t *testing.T, path, tool string) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("no report after the timeout: %v", err)
+	}
+	var rep struct {
+		Tool     string `json:"tool"`
+		Canceled bool   `json:"canceled"`
+	}
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Tool != tool || !rep.Canceled {
+		t.Errorf("report has tool %q, canceled %v; want %q, true", rep.Tool, rep.Canceled, tool)
 	}
 }

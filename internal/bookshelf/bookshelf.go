@@ -61,7 +61,6 @@ type scanner struct {
 	file string
 	line int
 	cur  string
-	done bool
 }
 
 func newScanner(r io.Reader, file string) *scanner {
@@ -71,7 +70,8 @@ func newScanner(r io.Reader, file string) *scanner {
 }
 
 // next advances to the next non-empty, non-comment line, returning false at
-// EOF. Leading/trailing whitespace is trimmed; '#' comments are stripped.
+// EOF or when reading fails (err says which). Leading/trailing whitespace
+// is trimmed; '#' comments are stripped.
 func (sc *scanner) next() bool {
 	for sc.s.Scan() {
 		sc.line++
@@ -86,8 +86,32 @@ func (sc *scanner) next() bool {
 		sc.cur = ln
 		return true
 	}
-	sc.done = true
 	return false
+}
+
+// err returns why next returned false: nil at the end of the input, a
+// *ParseError for a line past the scanner's limit (the input's fault),
+// or the failed read, wrapped with the file name. Every reader checks
+// it once its lines run out, so no input is silently cut short.
+func (sc *scanner) err() error {
+	err := sc.s.Err()
+	if errors.Is(err, bufio.ErrTooLong) {
+		return &ParseError{File: sc.file, Line: sc.line + 1, Msg: err.Error()}
+	}
+	if err != nil {
+		return fmt.Errorf("%s: %w", sc.file, err)
+	}
+	return nil
+}
+
+// endf is errf for input that ran out where a line was expected: the
+// scanner's own error when reading stopped before the end, else the
+// *ParseError.
+func (sc *scanner) endf(format string, args ...any) error {
+	if err := sc.err(); err != nil {
+		return err
+	}
+	return sc.errf(format, args...)
 }
 
 // ParseError locates a syntax or consistency error in a Bookshelf file.
@@ -156,7 +180,7 @@ func parseInt1(sc *scanner, key string, vals []string) (int, error) {
 // expectHeader consumes the "UCLA <kind> 1.0" (or "<kind> 1.0") header line.
 func (sc *scanner) expectHeader(kind string) error {
 	if !sc.next() {
-		return sc.errf("missing %s header", kind)
+		return sc.endf("missing %s header", kind)
 	}
 	f := strings.Fields(sc.cur)
 	// Accept "UCLA kind x.y" and "kind x.y".
@@ -201,7 +225,7 @@ func ParseAux(r io.Reader, name string) (Files, error) {
 	sc := newScanner(r, name)
 	var files Files
 	if !sc.next() {
-		return files, sc.errf("empty aux file")
+		return files, sc.endf("empty aux file")
 	}
 	_, vals, ok := keyValue(sc.cur)
 	if !ok {

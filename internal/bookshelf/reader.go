@@ -1,8 +1,6 @@
 package bookshelf
 
 import (
-	"bufio"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -154,7 +152,7 @@ func (r *reader) readNodes(f io.Reader, name string) error {
 		r.cellIdx[c.Name] = len(r.design.Cells)
 		r.design.Cells = append(r.design.Cells, c)
 	}
-	return nil
+	return sc.err()
 }
 
 func (r *reader) readNets(f io.Reader, name string) error {
@@ -186,7 +184,7 @@ func (r *reader) readNets(f io.Reader, name string) error {
 		net := db.Net{Name: netName, Weight: 1}
 		for k := 0; k < deg; k++ {
 			if !sc.next() {
-				return sc.errf("net %q truncated: expected %d pins", netName, deg)
+				return sc.endf("net %q truncated: expected %d pins", netName, deg)
 			}
 			pf := strings.Fields(sc.cur)
 			if len(pf) < 1 {
@@ -218,7 +216,7 @@ func (r *reader) readNets(f io.Reader, name string) error {
 		}
 		d.Nets = append(d.Nets, net)
 	}
-	return nil
+	return sc.err()
 }
 
 func (r *reader) readWts(f io.Reader, name string) error {
@@ -243,7 +241,7 @@ func (r *reader) readWts(f io.Reader, name string) error {
 			r.design.Nets[ni].Weight = w
 		}
 	}
-	return nil
+	return sc.err()
 }
 
 // PlRecord is one placement line of a .pl file:
@@ -304,14 +302,7 @@ func ReadPl(r io.Reader, file string, fn func(PlRecord) error) error {
 			return sc.errf("%v", err)
 		}
 	}
-	// A line past the scanner's limit is the input's fault; a failed
-	// read is not.
-	if err := sc.s.Err(); errors.Is(err, bufio.ErrTooLong) {
-		return sc.errf("%v", err)
-	} else if err != nil {
-		return fmt.Errorf("%s: %w", file, err)
-	}
-	return nil
+	return sc.err()
 }
 
 func (r *reader) readPl(f io.Reader, name string) error {
@@ -394,6 +385,9 @@ func (r *reader) readScl(f io.Reader, name string) error {
 				}
 			}
 		}
+	}
+	if err := sc.err(); err != nil {
+		return err
 	}
 	r.finishKinds()
 	return nil
@@ -502,7 +496,7 @@ func (r *reader) readRoute(f io.Reader, name string) error {
 			}
 			for k := 0; k < n; k++ {
 				if !sc.next() {
-					return sc.errf("NiTerminals truncated")
+					return sc.endf("NiTerminals truncated")
 				}
 				fields := strings.Fields(sc.cur)
 				if ci, okc := r.cellIdx[fields[0]]; okc {
@@ -516,7 +510,7 @@ func (r *reader) readRoute(f io.Reader, name string) error {
 			}
 			for k := 0; k < n; k++ {
 				if !sc.next() {
-					return sc.errf("BlockageNodes truncated")
+					return sc.endf("BlockageNodes truncated")
 				}
 				fields := strings.Fields(sc.cur)
 				if len(fields) < 2 {
@@ -542,6 +536,9 @@ func (r *reader) readRoute(f io.Reader, name string) error {
 				ri.Blockages = append(ri.Blockages, b)
 			}
 		}
+	}
+	if err := sc.err(); err != nil {
+		return err
 	}
 	r.design.Route = ri
 	return nil
@@ -569,7 +566,7 @@ func (r *reader) readFence(f io.Reader, name string) error {
 		rg := db.Region{Name: fields[0]}
 		for j := 0; j < k; j++ {
 			if !sc.next() {
-				return sc.errf("fence %q truncated", rg.Name)
+				return sc.endf("fence %q truncated", rg.Name)
 			}
 			cf := strings.Fields(sc.cur)
 			if len(cf) < 4 {
@@ -586,7 +583,7 @@ func (r *reader) readFence(f io.Reader, name string) error {
 		r.fenceIdx[rg.Name] = len(d.Regions)
 		d.Regions = append(d.Regions, rg)
 	}
-	return nil
+	return sc.err()
 }
 
 func (r *reader) readHier(f io.Reader, name string) error {
@@ -627,7 +624,7 @@ func (r *reader) readHier(f io.Reader, name string) error {
 		d.Modules = append(d.Modules, db.Module{Name: mname, Parent: parent, Region: region})
 		// "NumCells : C" then C cell names.
 		if !sc.next() {
-			return sc.errf("module %q missing NumCells", mname)
+			return sc.endf("module %q missing NumCells", mname)
 		}
 		key, vals, ok := keyValue(sc.cur)
 		if !ok || !strings.EqualFold(key, "NumCells") {
@@ -639,7 +636,7 @@ func (r *reader) readHier(f io.Reader, name string) error {
 		}
 		for j := 0; j < nc; j++ {
 			if !sc.next() {
-				return sc.errf("module %q cell list truncated", mname)
+				return sc.endf("module %q cell list truncated", mname)
 			}
 			cn := strings.TrimSpace(sc.cur)
 			ci, okc := r.cellIdx[cn]
@@ -650,5 +647,5 @@ func (r *reader) readHier(f io.Reader, name string) error {
 			d.Modules[mi].Cells = append(d.Modules[mi].Cells, ci)
 		}
 	}
-	return nil
+	return sc.err()
 }

@@ -78,7 +78,13 @@ type levelSolver struct {
 	// the density map that call left. λ, μ and the object areas never
 	// change inside one CG run, so those caches stay valid.
 	at []float64
-	// cuts counts Value calls that stopped before the wirelength.
+	// call is the Value or Gradient call in progress, as its tasks read
+	// it. valueTasks and gradientTasks are valueTask and gradientTask
+	// bound once, so a call on one thread, which runs its tasks in order
+	// on the caller, allocates nothing.
+	call                      objCall
+	valueTasks, gradientTasks func(w, i int)
+	// cuts counts Value calls that stopped early.
 	cuts int
 
 	lambda, mu float64
@@ -165,9 +171,7 @@ func newLevelSolver(cfg Config, p *cluster.Problem, die geom.Rect, fixed []geom.
 	if n >= shardMinObjs {
 		shards = workers
 	}
-	threads := max(1, min(workers, n/minObjsPerThread))
 	grid.SetWorkers(shards)
-	grid.SetThreads(threads)
 	// project keeps every valued center inside the die.
 	reach := math.Max(math.Max(math.Abs(die.Lo.X), math.Abs(die.Hi.X)), math.Max(math.Abs(die.Lo.Y), math.Abs(die.Hi.Y)))
 	nl := &wl.Netlist{Nets: p.Nets, NumObjs: n}
@@ -180,11 +184,19 @@ func newLevelSolver(cfg Config, p *cluster.Problem, die geom.Rect, fixed []geom.
 		gdx:    make([]float64, n), gdy: make([]float64, n),
 		gfx: make([]float64, n), gfy: make([]float64, n),
 	}
-	s.wlEval.SetThreads(threads)
+	s.valueTasks, s.gradientTasks = s.valueTask, s.gradientTask
+	s.setThreads(max(1, min(workers, n/minObjsPerThread)))
 	for i := 0; i < n; i++ {
 		s.objs[i] = density.Obj{HalfW: p.HalfW[i], HalfH: p.HalfH[i], Area: p.Area[i]}
 	}
 	return s
+}
+
+// setThreads sets how many goroutines run the level's kernels. It
+// changes no bit: the shard count sets every reduction order.
+func (s *levelSolver) setThreads(t int) {
+	s.wlEval.SetThreads(t)
+	s.grid.SetThreads(t)
 }
 
 func clampInt(v, lo, hi int) int {
@@ -223,6 +235,18 @@ func (s *levelSolver) fencePenalty(x, y []float64, gx, gy []float64) float64 {
 	return total
 }
 
+// objCall is one Value or Gradient call as its tasks read it.
+type objCall struct {
+	x, y, gx, gy []float64
+	// limit is Value's limit, fence and dens its terms μ·F and λ·N, and
+	// over whether those two alone exceed limit.
+	limit, fence, dens float64
+	over               bool
+	// beside is 1 when the list's first task is a term that runs next to
+	// the other term's tasks, 0 when that term ran before the list.
+	beside int
+}
+
 // Value evaluates f = WL + λ·N + μ·F at the packed vector layout
 // ([x..., y...]) used by the CG solver. It implements nlopt.Objective
 // together with Gradient.
@@ -234,27 +258,67 @@ func (s *levelSolver) fencePenalty(x, y []float64, gx, gy []float64) float64 {
 // limit so does f, and Value returns +Inf. The wirelength gets the
 // limit wlLimit derives. A value that is not cut is combined in the
 // same order as always, so it and the caches are unchanged.
+//
+// The density and the wirelength run as one task list (valueTask): in
+// order on the caller on one thread, otherwise in one parallel section.
+// Over one shard the deposit is a single task and comes first. The
+// wirelength's chunks start from the limit with λ·N at its lower bound
+// 0, and the deposit then stops them, or tightens their limit to the
+// one wlLimit derives from λ·N; so the order above makes every one of
+// its checks here too, on one thread at the same points. A sharded
+// deposit's slabs must all be done before they are reduced, in
+// parallel, so it runs before the list, on the grid's threads.
 func (s *levelSolver) Value(v []float64, limit float64) float64 {
 	s.at = v
 	n := s.p.NumObjs()
-	x, y := v[:n], v[n:]
-	wlMin := -s.wlEval.Slack()
-	var dens, fence float64
+	c := &s.call
+	*c = objCall{x: v[:n], y: v[n:], limit: limit}
 	if s.mu > 0 {
-		fence = s.mu * s.fencePenalty(x, y, nil, nil)
-		if s.combine(wlMin, 0, fence) > limit {
+		c.fence = s.mu * s.fencePenalty(c.x, c.y, nil, nil)
+		if s.combine(-s.wlEval.Slack(), 0, c.fence) > limit {
 			s.cuts++
 			return math.Inf(1)
 		}
 	}
 	if s.lambda > 0 {
-		dens = s.lambda * s.grid.Penalty(s.objs, x, y)
-		if s.combine(wlMin, dens, fence) > limit {
+		if s.wlEval.Shards() == 1 {
+			c.beside = 1
+		} else if s.density() {
 			s.cuts++
 			return math.Inf(1)
 		}
 	}
-	return s.combine(s.wlEval.Value(x, y, s.wlLimit(limit, dens, fence)), dens, fence)
+	chunks := s.wlEval.StartValue(c.x, c.y, s.wlLimit(limit, c.dens, c.fence))
+	par.ForWorker(c.beside+chunks, s.wlEval.Threads(), s.valueTasks)
+	wl, ok := s.wlEval.ValueResult()
+	if c.over || !ok {
+		s.cuts++
+		return math.Inf(1)
+	}
+	return s.combine(wl, c.dens, c.fence)
+}
+
+// density forms λ·N for the Value call in progress and reports whether
+// it and μ·F alone exceed the limit.
+func (s *levelSolver) density() bool {
+	c := &s.call
+	c.dens = s.lambda * s.grid.Penalty(s.objs, c.x, c.y)
+	c.over = s.combine(-s.wlEval.Slack(), c.dens, c.fence) > c.limit
+	return c.over
+}
+
+// valueTask runs task i of Value's list: the deposit, when it runs
+// beside, then the wirelength's chunks.
+func (s *levelSolver) valueTask(_, i int) {
+	c := &s.call
+	switch {
+	case i >= c.beside:
+		s.wlEval.ValueTask(i - c.beside)
+	case s.density():
+		s.wlEval.StopValue()
+	default:
+		s.wlEval.Tighten(s.wlLimit(c.limit, c.dens, c.fence))
+	}
 }
 
 // combine returns f from its weighted terms, in the one order f is
@@ -292,20 +356,29 @@ func (s *levelSolver) wlLimit(limit, dens, fence float64) float64 {
 	return math.Inf(1)
 }
 
-// valueCuts returns how many Value calls so far stopped early.
-func (s *levelSolver) valueCuts() int { return s.cuts + s.wlEval.Cuts() }
-
 // Gradient writes ∇f at the point of the last Value call into grad,
-// which arrives zeroed.
+// which arrives zeroed. Like Value it runs one task list
+// (gradientTask). Over one shard the wirelength gradient is a single
+// scatter and comes first, next to the density gradient's chunks; a
+// sharded one runs before the list on the evaluator's threads, as its
+// shard buffers are reduced in parallel.
 func (s *levelSolver) Gradient(grad []float64) {
 	n := s.p.NumObjs()
-	x, y := s.at[:n], s.at[n:]
-	gx, gy := grad[:n], grad[n:]
-	s.wlEval.Gradient(gx, gy)
+	c := &s.call
+	*c = objCall{x: s.at[:n], y: s.at[n:], gx: grad[:n], gy: grad[n:], beside: 1}
+	chunks := 0
 	if s.lambda > 0 {
 		clear(s.gdx)
 		clear(s.gdy)
-		s.grid.PenaltyGradient(s.objs, x, y, s.gdx, s.gdy)
+		chunks = s.grid.GradientTasks(n)
+	}
+	if s.wlEval.Shards() > 1 {
+		c.beside = 0
+		s.wlEval.Gradient(c.gx, c.gy)
+	}
+	par.ForWorker(c.beside+chunks, s.wlEval.Threads(), s.gradientTasks)
+	gx, gy := c.gx, c.gy
+	if s.lambda > 0 {
 		for i := range gx {
 			gx[i] += s.lambda * s.gdx[i]
 			gy[i] += s.lambda * s.gdy[i]
@@ -314,12 +387,24 @@ func (s *levelSolver) Gradient(grad []float64) {
 	if s.mu > 0 {
 		clear(s.gfx)
 		clear(s.gfy)
-		s.fencePenalty(x, y, s.gfx, s.gfy)
+		s.fencePenalty(c.x, c.y, s.gfx, s.gfy)
 		for i := range gx {
 			gx[i] += s.mu * s.gfx[i]
 			gy[i] += s.mu * s.gfy[i]
 		}
 	}
+}
+
+// gradientTask runs task i of Gradient's list on goroutine w: the
+// wirelength's scatter, when it runs beside, then the density
+// gradient's chunks.
+func (s *levelSolver) gradientTask(w, i int) {
+	c := &s.call
+	if i < c.beside {
+		s.wlEval.Gradient(c.gx, c.gy)
+		return
+	}
+	s.grid.GradientTask(s.objs, c.x, c.y, s.gdx, s.gdy, i-c.beside, w)
 }
 
 // gradL1 returns Σ|g| of a term's gradient evaluated in isolation.
@@ -437,8 +522,9 @@ func (s *levelSolver) solve(ctx context.Context, trace *Trace) gpStats {
 
 	if s.span != nil {
 		// Effective counts: the wirelength value and the density
-		// gradient run on threads goroutines; the wirelength gradient and
-		// the density deposit on one per shard, as far as threads allow.
+		// gradient run on threads goroutines, over one shard next to the
+		// density deposit and the wirelength scatter; sharded, those two
+		// run one goroutine per shard first, as far as threads allow.
 		s.span.Add("threads", int64(s.wlEval.Threads()))
 		s.span.Add("shards", int64(s.wlEval.Shards()))
 	}
@@ -470,7 +556,7 @@ func (s *levelSolver) solve(ctx context.Context, trace *Trace) gpStats {
 			// real relief work as convergence.
 			relTol = 0
 		}
-		cuts := s.valueCuts()
+		cuts := s.cuts
 		res := nlopt.CG(s, v, nlopt.Options{
 			MaxIter:  gpIterPerRound,
 			GradTol:  1e-9,
@@ -480,7 +566,7 @@ func (s *levelSolver) solve(ctx context.Context, trace *Trace) gpStats {
 			OnIter:   onIter,
 			Stop:     stop,
 		})
-		cuts = s.valueCuts() - cuts
+		cuts = s.cuts - cuts
 		stats.CGIters += res.Iters
 		stats.ValueEvals += res.ValueEvals
 		stats.ValueCuts += cuts

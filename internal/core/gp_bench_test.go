@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/db"
 	"repro/internal/gen"
 	"repro/internal/nlopt"
 )
@@ -25,8 +26,19 @@ type levelBench struct {
 // clustered — and returns level solvers at the finest and at the coarsest
 // level for the given worker count.
 func levelBenches(tb testing.TB, workers int) []levelBench {
+	return designLevels(tb, gen.MustGenerate(gen.Suite()[0]), workers, levelPick{"level0", 0}, levelPick{"coarsest", -1})
+}
+
+// levelPick names one level of a clustering hierarchy; a negative level
+// counts from the coarsest, -1 being the coarsest itself.
+type levelPick struct {
+	name string
+	l    int
+}
+
+// designLevels is levelBenches for design d and the picked levels.
+func designLevels(tb testing.TB, d *db.Design, workers int, picks ...levelPick) []levelBench {
 	tb.Helper()
-	d := gen.MustGenerate(gen.Suite()[0])
 	cfg := Config{Workers: workers}.withDefaults()
 	target := math.Min(1, d.Utilization()*1.15+0.05)
 	prob, _ := lower(d)
@@ -36,10 +48,10 @@ func levelBenches(tb testing.TB, workers int) []levelBench {
 	staggerCoincident(prob, d.Die)
 	hier := cluster.Build(prob, cluster.Options{MinObjs: clusterMinObjs})
 	var out []levelBench
-	for _, lv := range []struct {
-		name string
-		l    int
-	}{{"level0", 0}, {"coarsest", len(hier.Levels) - 1}} {
+	for _, lv := range picks {
+		if lv.l < 0 {
+			lv.l += len(hier.Levels)
+		}
 		p := hier.Levels[lv.l]
 		s := newLevelSolver(cfg, p, d.Die, fixed, d.Regions, target, d.RowHeight())
 		n := p.NumObjs()

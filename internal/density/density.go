@@ -59,6 +59,8 @@ type Grid struct {
 	// for a sharded deposit.
 	shards, threads int
 	scratch         []bellScratch
+	// chunks is the length of the gradient task list in progress.
+	chunks int
 }
 
 // NewGrid builds an nx×ny grid over die with the given target density.

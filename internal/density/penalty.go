@@ -22,6 +22,10 @@ import (
 // So results are deterministic for a fixed shard count at any thread
 // count; across shard counts they differ only by floating-point
 // reassociation.
+//
+// The gradient is also a task list (GradientTasks), so a caller can run
+// it in one parallel section next to other work; PenaltyGradient runs the
+// same list on the grid's own threads.
 
 // bellScratch is one goroutine's scratch: bell values and slopes per axis
 // and, for a sharded deposit, its shard's demand slab.
@@ -120,17 +124,37 @@ func (g *Grid) Penalty(objs []Obj, x, y []float64) float64 {
 // where sx' = Σ_b px'(b); the sx'/sx term keeps area conservation
 // differentiated rather than approximated away.
 func (g *Grid) PenaltyGradient(objs []Obj, x, y []float64, gx, gy []float64) {
-	n := len(objs)
-	t := max(1, min(g.threads, n))
-	scr := g.scratchFor(t)
-	if t == 1 {
-		g.gradientRange(objs, x, y, 0, n, gx, gy, &scr[0])
+	c := g.GradientTasks(len(objs))
+	if c == 1 {
+		g.GradientTask(objs, x, y, gx, gy, 0, 0)
 		return
 	}
-	c := min(t*chunksPerThread, n)
-	par.ForWorker(c, t, func(w, j int) {
-		g.gradientRange(objs, x, y, n*j/c, n*(j+1)/c, gx, gy, &scr[w])
+	par.ForWorker(c, g.threads, func(w, j int) {
+		g.GradientTask(objs, x, y, gx, gy, j, w)
 	})
+}
+
+// GradientTasks readies PenaltyGradient over n objects as a task list
+// and returns its length: one task on one thread, otherwise
+// chunksPerThread chunks of objects per thread. Run every task with
+// GradientTask, on any goroutines and in any order, each numbered below
+// the thread count.
+func (g *Grid) GradientTasks(n int) int {
+	t := max(1, min(g.threads, n))
+	g.scratchFor(g.threads)
+	g.chunks = 1
+	if t > 1 {
+		g.chunks = min(t*chunksPerThread, n)
+	}
+	return g.chunks
+}
+
+// GradientTask runs task j of the gradient GradientTasks readied on the
+// goroutine numbered w: it adds the gradient of chunk j's objects into
+// their own slots of gx and gy.
+func (g *Grid) GradientTask(objs []Obj, x, y []float64, gx, gy []float64, j, w int) {
+	n, c := len(objs), g.chunks
+	g.gradientRange(objs, x, y, n*j/c, n*(j+1)/c, gx, gy, &g.scratch[w])
 }
 
 // bellAxis evaluates one object's bell along one grid axis — center c,

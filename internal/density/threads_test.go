@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/par"
 )
 
 // TestThreadsKeepBits runs the penalty and its gradient for each shard
@@ -14,7 +15,8 @@ import (
 // bits from all of them: threads only decide which shard or object range
 // a goroutine takes, never the order deposits are summed in. The objects
 // mix cells below the bin size, macros spanning many rows, and objects
-// clipped at the die edges, on two grids.
+// clipped at the die edges, on two grids. The gradient's task list run
+// on one to eight threads next to a side task gives the same bits.
 func TestThreadsKeepBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	die := geom.NewRect(0, 0, 240, 200)
@@ -65,7 +67,36 @@ func TestThreadsKeepBits(t *testing.T) {
 						}
 					}
 				}
+				for threads := 1; threads <= 8; threads++ {
+					g := grid(threads)
+					g.Penalty(objs, x, y)
+					gx, gy := make([]float64, n), make([]float64, n)
+					tasks := g.GradientTasks(n)
+					par.ForWorker(tasks+1, threads, func(w, i int) {
+						if i == 0 {
+							sideWork()
+							return
+						}
+						g.GradientTask(objs, x, y, gx, gy, i-1, w)
+					})
+					for i := range gx {
+						if math.Float64bits(gx[i]) != math.Float64bits(wgx[i]) || math.Float64bits(gy[i]) != math.Float64bits(wgy[i]) {
+							t.Fatalf("gradient list on %d threads: gradient at obj %d (%v, %v), plain (%v, %v)", threads, i, gx[i], gy[i], wgx[i], wgy[i])
+						}
+					}
+				}
 			})
 		}
 	}
 }
+
+// sideWork stands in for the work a caller runs next to a task list.
+func sideWork() {
+	s := 0.0
+	for i := range 20000 {
+		s += math.Sqrt(float64(i))
+	}
+	sink = s
+}
+
+var sink float64

@@ -44,6 +44,10 @@ import (
 // count; across shard counts they differ only by floating-point
 // reassociation. One thread over one shard runs the plain loops.
 //
+// The value is also a task list (StartValue), so a caller can run it in
+// one parallel section next to other work; Value runs the same list on
+// the evaluator's own threads.
+//
 // Value takes a limit and stops summing once the partial sums prove the
 // total exceeds it (see Value and Slack).
 //
@@ -81,6 +85,14 @@ type Evaluator struct {
 	// bufs holds one [2n] gradient buffer per shard when there is more
 	// than one.
 	bufs [][]float64
+
+	// The value in progress (StartValue): its point, the bar its partial
+	// sums are checked against (float64 bits, lowered by Tighten),
+	// whether it stopped, and the one-task list's running sum.
+	vx, vy []float64
+	bar    atomic.Uint64
+	stop   atomic.Bool
+	sum    float64
 }
 
 // axis is one coordinate axis of the flattened pins plus the cache the
@@ -243,24 +255,96 @@ func (e *Evaluator) cutChunks() {
 // additions inside the published sum and the shard-order reduction too.
 // A value that is not cut is the sum the uncut call returns.
 func (e *Evaluator) Value(x, y []float64, limit float64) float64 {
-	bar := math.Inf(1)
-	if limit < bar {
-		// Round up, so a partial sum above bar is above limit + slack.
-		bar = math.Nextafter(limit+e.slack, math.Inf(1))
-	}
-	var total float64
-	var done bool
-	if e.plain() {
-		total, done = e.runningValue(x, y, bar)
+	if n := e.StartValue(x, y, limit); n == 1 {
+		e.ValueTask(0)
 	} else {
-		total, done = e.slotValue(x, y, bar)
+		par.For(n, e.threads, e.ValueTask)
 	}
-	if !done {
+	total, ok := e.ValueResult()
+	if !ok {
 		e.cuts++
-		return math.Inf(1)
 	}
 	return total
 }
+
+// StartValue readies Value(x, y, limit) as a task list and returns its
+// length: one task, the running sum, on one thread over one shard, and
+// otherwise one per chunk of nets. Run every task with ValueTask, on any
+// goroutines and in any order, then read the result from ValueResult.
+// While the tasks run, other goroutines may lower the limit (Tighten) or
+// stop them (StopValue).
+func (e *Evaluator) StartValue(x, y []float64, limit float64) int {
+	e.vx, e.vy = x, y
+	e.bar.Store(math.Float64bits(e.barFor(limit)))
+	e.stop.Store(false)
+	if e.plain() {
+		return 1
+	}
+	for c := range e.pub {
+		e.pub[c].bits.Store(0)
+	}
+	return len(e.pub)
+}
+
+// ValueTask runs task c of the value StartValue readied.
+func (e *Evaluator) ValueTask(c int) {
+	if e.stop.Load() {
+		return
+	}
+	if e.plain() {
+		var ok bool
+		if e.sum, ok = e.runningValue(e.vx, e.vy, e.loadBar()); !ok {
+			e.stop.Store(true)
+		}
+		return
+	}
+	e.slotChunk(c)
+}
+
+// Tighten lowers the limit of the value in progress to limit. One
+// goroutine at a time may call it while the tasks run: the chunks check
+// their partial sums against the lower bar from their next check on,
+// and ValueResult checks the whole sum against it, so a value whose sum
+// exceeds the lower bar is cut even when the limit dropped after the
+// chunks finished. A limit above the current one changes nothing.
+func (e *Evaluator) Tighten(limit float64) {
+	if b := e.barFor(limit); b < e.loadBar() {
+		e.bar.Store(math.Float64bits(b))
+	}
+}
+
+// StopValue stops the value in progress, from any goroutine: its tasks
+// return at their next check, and ValueResult reports it cut.
+func (e *Evaluator) StopValue() { e.stop.Store(true) }
+
+// ValueResult returns the value the tasks computed and true, or +Inf
+// and false when it was cut: stopped, or over its bar. It does not count
+// the cut (see Cuts).
+func (e *Evaluator) ValueResult() (float64, bool) {
+	if e.stop.Load() {
+		return math.Inf(1), false
+	}
+	total := e.sum
+	if !e.plain() {
+		total = e.slotSum()
+	}
+	if total > e.loadBar() {
+		return math.Inf(1), false
+	}
+	return total, true
+}
+
+// barFor returns the bar partial sums are checked against for limit:
+// +Inf, which never cuts, for a +Inf or NaN limit.
+func (e *Evaluator) barFor(limit float64) float64 {
+	if limit < math.Inf(1) {
+		// Round up, so a partial sum above bar is above limit + slack.
+		return math.Nextafter(limit+e.slack, math.Inf(1))
+	}
+	return math.Inf(1)
+}
+
+func (e *Evaluator) loadBar() float64 { return math.Float64frombits(e.bar.Load()) }
 
 // Cuts returns how many Value calls so far stopped early. On more than
 // one thread it counts work saved, not a result: which rejected values
@@ -294,41 +378,36 @@ func (e *Evaluator) runningValue(x, y []float64, bar float64) (float64, bool) {
 	return total, true
 }
 
-// slotValue is Value on the slots: the threads value chunks of
-// nets into the slots, publishing the chunks' partial sums as they go,
-// and the slots are summed in shard order. A shard's slots summed from
-// zero are the shard's running sum: the +0 slots of nets of degree < 2
-// add nothing to a sum that starts at +0.
-func (e *Evaluator) slotValue(x, y []float64, bar float64) (float64, bool) {
-	for c := range e.pub {
-		e.pub[c].bits.Store(0)
-	}
-	var stop atomic.Bool
-	cut := bar < math.Inf(1)
-	par.For(len(e.pub), e.threads, func(c int) {
-		var part float64
-		lo, hi := e.netCut[c], e.netCut[c+1]
-		for k := lo; k < hi; k++ {
-			p0, p1 := e.start[k], e.start[k+1]
-			if p1-p0 >= 2 {
-				w := e.weight[k]
-				vx := float64(w * e.axisValue(k, p0, p1, x, &e.ax))
-				vy := float64(w * e.axisValue(k, p0, p1, y, &e.ay))
-				e.slot[2*k], e.slot[2*k+1] = vx, vy
-				part += vx
-				part += vy
-			}
-			if cut && ((k-lo)%publishEvery == publishEvery-1 || k == hi-1) {
-				if stop.Load() || e.publish(c, part, bar) {
-					stop.Store(true)
-					return
-				}
+// slotChunk values chunk c's nets into their slots, publishing the
+// chunk's partial sum as it goes, and stops every chunk once the sum of
+// the published partials crosses the bar.
+func (e *Evaluator) slotChunk(c int) {
+	x, y := e.vx, e.vy
+	var part float64
+	lo, hi := e.netCut[c], e.netCut[c+1]
+	for k := lo; k < hi; k++ {
+		p0, p1 := e.start[k], e.start[k+1]
+		if p1-p0 >= 2 {
+			w := e.weight[k]
+			vx := float64(w * e.axisValue(k, p0, p1, x, &e.ax))
+			vy := float64(w * e.axisValue(k, p0, p1, y, &e.ay))
+			e.slot[2*k], e.slot[2*k+1] = vx, vy
+			part += vx
+			part += vy
+		}
+		if (k-lo)%publishEvery == publishEvery-1 || k == hi-1 {
+			if e.stop.Load() || e.publish(c, part) {
+				e.stop.Store(true)
+				return
 			}
 		}
-	})
-	if stop.Load() {
-		return 0, false
 	}
+}
+
+// slotSum sums the slots in shard order. A shard's slots summed from
+// zero are the shard's running sum: the +0 slots of nets of degree < 2
+// add nothing to a sum that starts at +0.
+func (e *Evaluator) slotSum() float64 {
 	var total float64
 	for s := 0; s < e.shards; s++ {
 		lo, hi := e.shardRange(s)
@@ -338,12 +417,17 @@ func (e *Evaluator) slotValue(x, y []float64, bar float64) (float64, bool) {
 		}
 		total += sum
 	}
-	return total, true
+	return total
 }
 
 // publish stores chunk c's partial sum and reports whether the sum of
-// every chunk's published partial, added in chunk order, exceeds bar.
-func (e *Evaluator) publish(c int, part, bar float64) bool {
+// every chunk's published partial, added in chunk order, exceeds the
+// bar. Under a +Inf bar nothing is published.
+func (e *Evaluator) publish(c int, part float64) bool {
+	bar := e.loadBar()
+	if !(bar < math.Inf(1)) {
+		return false
+	}
 	e.pub[c].bits.Store(math.Float64bits(part))
 	var sum float64
 	for i := range e.pub {

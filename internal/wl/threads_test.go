@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/par"
 )
 
 // TestThreadsKeepBits runs every shard count the placer uses on one,
@@ -12,7 +14,9 @@ import (
 // everywhere: the value with no limit, at the limit equal to it, one ulp
 // below it, and far enough below that every thread count must stop
 // early, and the gradient after an uncut value. Threads only decide who
-// computes a term, never the order terms are summed in.
+// computes a term, never the order terms are summed in. The value's
+// task list run on one to eight threads next to a side task gives the
+// same bits, with the limit lowered by Tighten while the chunks run.
 func TestThreadsKeepBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	const n = 150
@@ -57,7 +61,51 @@ func TestThreadsKeepBits(t *testing.T) {
 						}
 					}
 				}
+				for threads := 1; threads <= 8; threads++ {
+					e := NewEvaluator(nl, m, 3, shards, reach)
+					e.SetThreads(threads)
+					for i, limit := range limits {
+						if got := valueBeside(e, x, y, limit, threads); !sameBits(got, want[i]) {
+							t.Fatalf("task list on %d threads, tightened to %v: value %v, plain %v", threads, limit, got, want[i])
+						}
+					}
+					e.StartValue(x, y, math.Inf(1))
+					e.StopValue()
+					if got, ok := e.ValueResult(); ok || !math.IsInf(got, 1) {
+						t.Fatalf("threads=%d: a stopped value returned %v, %v", threads, got, ok)
+					}
+				}
 			})
 		}
 	}
 }
+
+// valueBeside runs e's value task list with no limit, on threads
+// goroutines, next to a side task that tightens the limit to limit
+// after some work of its own, and returns the value. The side task is
+// the last one taken, so on one thread the chunks have all finished
+// when the limit drops.
+func valueBeside(e *Evaluator, x, y []float64, limit float64, threads int) float64 {
+	tasks := e.StartValue(x, y, math.Inf(1))
+	par.For(tasks+1, threads, func(i int) {
+		if i == tasks {
+			sideWork()
+			e.Tighten(limit)
+			return
+		}
+		e.ValueTask(i)
+	})
+	v, _ := e.ValueResult()
+	return v
+}
+
+// sideWork stands in for the work a caller runs next to a task list.
+func sideWork() {
+	s := 0.0
+	for i := range 20000 {
+		s += math.Sqrt(float64(i))
+	}
+	sink = s
+}
+
+var sink float64
