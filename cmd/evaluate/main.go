@@ -11,14 +11,9 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"runtime"
-	"runtime/pprof"
-	"syscall"
 
 	"repro/internal/bookshelf"
 	"repro/internal/buildinfo"
@@ -63,45 +58,20 @@ func run() error {
 	if *auxPath == "" {
 		return fmt.Errorf("need -aux (run with -h for usage)")
 	}
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProf != "" {
-		defer func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "evaluate: memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "evaluate: memprofile:", err)
-			}
-		}()
-	}
 	tel := obs.CLI{Tool: "evaluate", Report: *report, Trace: *trace, Verbose: *verbose, LogLevel: *logLvl}
+	stopProfile, err := tel.Profile(*cpuProf, *memProf)
+	if err != nil {
+		return err
+	}
+	defer stopProfile()
 	rec, err := tel.Recorder()
 	if err != nil {
 		return err
 	}
 	// SIGINT/SIGTERM and -timeout cancel the routing run through its
 	// context; the -report post-mortem is still flushed.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
+	ctx, cancel := tel.Context(*timeout)
+	defer cancel()
 	d, err := bookshelf.ReadDesign(*auxPath)
 	if err != nil {
 		return err
@@ -129,15 +99,20 @@ func run() error {
 		HPWL: d.HPWL(), Overlaps: overlaps, FenceViol: fenceViol,
 		OutOfDie: d.OutOfDie(),
 	}
+	cfg := map[string]any{"rrr": *rrr, "workers": *workers}
 	if d.Route == nil {
 		fmt.Printf("HPWL %.6g (no .route file: congestion scoring skipped)\n", d.HPWL())
-		return finishEvaluate(rec, d, row, *report, *trace, *asJSON, *rrr, *workers)
+		return finishEvaluate(tel, rec, cfg, d, row, *asJSON)
 	}
-	m, err := route.EvaluateDesignCtx(ctx, d, route.RouterOptions{
-		MaxRRRIters: *rrr, Workers: *workers, Obs: rec, TraceLabel: "evaluate",
-	})
+	grid, err := route.NewGrid(d)
+	var m route.Metrics
+	if err == nil {
+		m, err = route.Evaluate(ctx, grid, d, route.RouterOptions{
+			MaxRRRIters: *rrr, Workers: *workers, Obs: rec, TraceLabel: "evaluate",
+		})
+	}
 	if err != nil {
-		return tel.FlushCanceled(rec, map[string]any{"rrr": *rrr, "workers": *workers}, d, err)
+		return tel.FlushCanceled(rec, cfg, d, err)
 	}
 	// The row carries no wall time: evaluate's stdout stays byte-identical
 	// across runs and worker counts (the determinism check diffs it), and
@@ -154,14 +129,7 @@ func run() error {
 	fmt.Println()
 
 	if *svgPath != "" {
-		grid, err := route.NewGrid(d)
-		if err != nil {
-			return err
-		}
-		r := route.NewRouter(grid, route.RouterOptions{
-			MaxRRRIters: *rrr, Workers: *workers, Obs: rec, TraceLabel: "svg",
-		})
-		r.RouteDesign(d)
+		// The heatmap draws the map the score was taken from.
 		f, err := os.Create(*svgPath)
 		if err != nil {
 			return err
@@ -172,12 +140,12 @@ func run() error {
 		}
 		fmt.Println("wrote", *svgPath)
 	}
-	return finishEvaluate(rec, d, row, *report, *trace, *asJSON, *rrr, *workers)
+	return finishEvaluate(tel, rec, cfg, d, row, *asJSON)
 }
 
 // finishEvaluate prints the score row (text table, plus JSON with -json)
 // and writes the run report and trace when requested.
-func finishEvaluate(rec *obs.Recorder, d *db.Design, row metrics.Row, report, trace string, asJSON bool, rrr, workers int) error {
+func finishEvaluate(tel obs.CLI, rec *obs.Recorder, cfg any, d *db.Design, row metrics.Row, asJSON bool) error {
 	fmt.Println(metrics.Header())
 	fmt.Println(row)
 	if asJSON {
@@ -187,28 +155,7 @@ func finishEvaluate(rec *obs.Recorder, d *db.Design, row metrics.Row, report, tr
 			return err
 		}
 	}
-	if report == "" && trace == "" {
-		return nil
-	}
-	rep := rec.BuildReport()
-	rep.Tool = "evaluate"
-	stats := d.ComputeStats()
-	rep.Design = &stats
-	rep.Config = map[string]any{"rrr": rrr, "workers": workers}
-	rep.Metrics = &row
-	if report != "" {
-		if err := rep.WriteFile(report); err != nil {
-			return err
-		}
-		fmt.Println("wrote", report)
-	}
-	if trace != "" {
-		if err := rep.WriteChromeTraceFile(trace); err != nil {
-			return err
-		}
-		fmt.Println("wrote", trace)
-	}
-	return nil
+	return tel.Flush(rec, cfg, d, &row)
 }
 
 // applyPl overrides cell positions and orientations from a standalone

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -15,6 +16,8 @@ import (
 	"repro/internal/eco"
 	"repro/internal/gen"
 	"repro/internal/geom"
+	"repro/internal/route"
+	"repro/internal/viz"
 )
 
 func TestApplyPl(t *testing.T) {
@@ -136,11 +139,7 @@ func TestTimeoutWritesCanceledReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	report := filepath.Join(dir, "r.json")
-	oldArgs, oldFlags := os.Args, flag.CommandLine
-	defer func() { os.Args, flag.CommandLine = oldArgs, oldFlags }()
-	os.Args = []string{"evaluate", "-aux", aux, "-timeout", "1ns", "-workers", "1", "-report", report}
-	flag.CommandLine = flag.NewFlagSet("evaluate", flag.ContinueOnError)
-	if err := run(); !errors.Is(err, context.DeadlineExceeded) {
+	if err := runWithArgs("-aux", aux, "-timeout", "1ns", "-workers", "1", "-report", report); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("run = %v, want the deadline", err)
 	}
 	raw, err := os.ReadFile(report)
@@ -158,4 +157,93 @@ func TestTimeoutWritesCanceledReport(t *testing.T) {
 	if rep.Tool != "evaluate" || !rep.Canceled || rep.Config["workers"] != 1 {
 		t.Errorf("report has tool %q, canceled %v, config %v; want evaluate, true, workers 1", rep.Tool, rep.Canceled, rep.Config)
 	}
+}
+
+// TestSVGDrawsTheScoredGrid requires -svg to draw the grid the score was
+// routed on rather than route again: the file equals viz.CongestionSVG
+// over a freshly routed grid, and the report holds routing rounds under
+// the evaluation's label alone.
+func TestSVGDrawsTheScoredGrid(t *testing.T) {
+	dir := t.TempDir()
+	aux, err := bookshelf.WriteDesign(gen.MustGenerate(gen.SmallSuite()[0]), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svg, report := filepath.Join(dir, "c.svg"), filepath.Join(dir, "r.json")
+	if err := runWithArgs("-aux", aux, "-workers", "1", "-svg", svg, "-report", report); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(svg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := bookshelf.ReadDesign(aux)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := route.NewGrid(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	route.NewRouter(g, route.RouterOptions{Workers: 1}).RouteDesign(d)
+	var want bytes.Buffer
+	if err := viz.CongestionSVG(&want, g, 800); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Error("-svg differs from the congestion plot of a freshly routed grid")
+	}
+	raw, err := os.ReadFile(report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep struct {
+		RouteTrace []struct {
+			Context string `json:"context"`
+			Round   int    `json:"round"`
+		} `json:"route_trace"`
+	}
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
+	}
+	starts := 0
+	for _, r := range rep.RouteTrace {
+		if r.Context != "evaluate" {
+			t.Errorf("report holds a routing round labelled %q", r.Context)
+		}
+		if r.Round == 0 {
+			starts++
+		}
+	}
+	if starts != 1 {
+		t.Errorf("report holds %d routing runs, want the evaluation's alone", starts)
+	}
+}
+
+// TestProfileFlags requires -cpuprofile and -memprofile to write
+// non-empty profiles.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	aux, err := bookshelf.WriteDesign(gen.MustGenerate(gen.SmallSuite()[0]), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	if err := runWithArgs("-aux", aux, "-workers", "1", "-cpuprofile", cpu, "-memprofile", mem); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{cpu, mem} {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s: %v, want a non-empty file", p, err)
+		}
+	}
+}
+
+// runWithArgs runs evaluate's command line args on a fresh flag set.
+func runWithArgs(args ...string) error {
+	oldArgs, oldFlags := os.Args, flag.CommandLine
+	defer func() { os.Args, flag.CommandLine = oldArgs, oldFlags }()
+	os.Args = append([]string{"evaluate"}, args...)
+	flag.CommandLine = flag.NewFlagSet("evaluate", flag.ContinueOnError)
+	return run()
 }

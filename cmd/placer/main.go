@@ -39,11 +39,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
-	"syscall"
 	"time"
 
 	"repro/internal/bookshelf"
@@ -107,36 +103,15 @@ func run() error {
 		return nil
 	}
 
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProf != "" {
-		defer func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "placer: memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "placer: memprofile:", err)
-			}
-		}()
-	}
-
 	tel := obs.CLI{
 		Tool: "placer", Report: *report, Trace: *tracePath,
 		Heatmaps: *heatDir != "", Verbose: *verbose, LogLevel: *logLevel,
 	}
+	stopProfile, err := tel.Profile(*cpuProf, *memProf)
+	if err != nil {
+		return err
+	}
+	defer stopProfile()
 	rec, err := tel.Recorder()
 	if err != nil {
 		return err
@@ -144,13 +119,8 @@ func run() error {
 
 	// SIGINT/SIGTERM and -timeout cancel the run through the placement
 	// flow's context; the -report post-mortem is still flushed.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
+	ctx, cancel := tel.Context(*timeout)
+	defer cancel()
 
 	d, err := loadDesign(*auxPath, *synth, *seed)
 	if err != nil {
@@ -232,8 +202,14 @@ func run() error {
 		Overlaps: res.Overlaps, FenceViol: res.FenceViolations, OutOfDie: res.OutOfDie,
 		GPSeconds: res.GPTime.Seconds(), TotalSeconds: total.Seconds(),
 	}
+	// The evaluation's routed grid is the one -svg draws.
+	var routed *route.Grid
 	if *evaluate && d.Route != nil {
-		m, err := route.EvaluateDesignCtx(ctx, d, route.RouterOptions{Workers: *workers, Obs: rec, TraceLabel: "evaluate"})
+		routed, err = route.NewGrid(d)
+		var m route.Metrics
+		if err == nil {
+			m, err = route.Evaluate(ctx, routed, d, route.RouterOptions{Workers: *workers, Obs: rec, TraceLabel: "evaluate"})
+		}
 		if err != nil {
 			return tel.FlushCanceled(rec, cfg, d, err)
 		}
@@ -262,29 +238,12 @@ func run() error {
 		fmt.Println("wrote", aux)
 	}
 	if *svg {
-		if err := writeSVGs(*outDir, d); err != nil {
+		if err := writeSVGs(*outDir, d, routed, *workers); err != nil {
 			return err
 		}
 	}
-	if *report != "" || *tracePath != "" {
-		rep := rec.BuildReport()
-		rep.Tool = "placer"
-		stats := d.ComputeStats()
-		rep.Design = &stats
-		rep.Config = cfg
-		rep.Metrics = &row
-		if *report != "" {
-			if err := rep.WriteFile(*report); err != nil {
-				return err
-			}
-			fmt.Println("wrote", *report)
-		}
-		if *tracePath != "" {
-			if err := rep.WriteChromeTraceFile(*tracePath); err != nil {
-				return err
-			}
-			fmt.Println("wrote", *tracePath)
-		}
+	if err := tel.Flush(rec, cfg, d, &row); err != nil {
+		return err
 	}
 	if *heatDir != "" {
 		if err := writeHeatmaps(*heatDir, d.Name, rec); err != nil {
@@ -406,7 +365,10 @@ func writePlFile(path string, d *db.Design) error {
 	return os.WriteFile(path, buf.Bytes(), 0o644)
 }
 
-func writeSVGs(dir string, d *db.Design) error {
+// writeSVGs writes the placement plot and, for a design with a routing
+// grid, the congestion plot of routed: the evaluation's grid, or when the
+// run was not evaluated, a fresh route at the given worker count.
+func writeSVGs(dir string, d *db.Design, routed *route.Grid, workers int) error {
 	pf, err := os.Create(filepath.Join(dir, d.Name+".placement.svg"))
 	if err != nil {
 		return err
@@ -419,18 +381,18 @@ func writeSVGs(dir string, d *db.Design) error {
 	if d.Route == nil {
 		return nil
 	}
-	grid, err := route.NewGrid(d)
-	if err != nil {
-		return err
+	if routed == nil {
+		if routed, err = route.NewGrid(d); err != nil {
+			return err
+		}
+		route.NewRouter(routed, route.RouterOptions{Workers: workers}).RouteDesign(d)
 	}
-	r := route.NewRouter(grid, route.RouterOptions{})
-	r.RouteDesign(d)
 	cf, err := os.Create(filepath.Join(dir, d.Name+".congestion.svg"))
 	if err != nil {
 		return err
 	}
 	defer cf.Close()
-	if err := viz.CongestionSVG(cf, grid, 800); err != nil {
+	if err := viz.CongestionSVG(cf, routed, 800); err != nil {
 		return err
 	}
 	fmt.Println("wrote", cf.Name())

@@ -1,20 +1,25 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/bookshelf"
 	"repro/internal/core"
 	"repro/internal/db"
 	"repro/internal/gen"
 	"repro/internal/geom"
 	"repro/internal/obs"
+	"repro/internal/route"
+	"repro/internal/viz"
 )
 
 func TestVariantName(t *testing.T) {
@@ -221,6 +226,98 @@ func TestTimeoutWritesCanceledReport(t *testing.T) {
 	checkCanceledReport(t, report, "placer")
 	if _, err := os.Stat(trace); err != nil {
 		t.Errorf("no trace after the timeout: %v", err)
+	}
+}
+
+// TestSVGDrawsTheEvaluatedGrid requires -svg to draw the grid the
+// evaluation routed rather than route again: the congestion plot equals
+// viz.CongestionSVG over a freshly routed grid of the placed design, and
+// the report holds routing rounds under the evaluation's label alone.
+// Without -evaluate the plot still gets its one route.
+func TestSVGDrawsTheEvaluatedGrid(t *testing.T) {
+	src := t.TempDir()
+	aux, err := bookshelf.WriteDesign(gen.MustGenerate(gen.SmallSuite()[0]), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, evaluate := range []bool{true, false} {
+		out := t.TempDir()
+		report := filepath.Join(out, "r.json")
+		err := runWithArgs("-aux", aux, "-no-routability", "-no-dp", "-workers", "1",
+			"-evaluate="+strconv.FormatBool(evaluate), "-svg", "-write-bookshelf", "-out", out, "-report", report)
+		if err != nil {
+			t.Fatal(err)
+		}
+		placed, err := bookshelf.ReadDesign(filepath.Join(out, filepath.Base(aux)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(out, placed.Name+".congestion.svg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := route.NewGrid(placed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		route.NewRouter(g, route.RouterOptions{Workers: 1}).RouteDesign(placed)
+		var want bytes.Buffer
+		if err := viz.CongestionSVG(&want, g, 800); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("evaluate=%v: congestion SVG differs from a freshly routed grid's", evaluate)
+		}
+		raw, err := os.ReadFile(report)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep struct {
+			RouteTrace []struct {
+				Context string `json:"context"`
+				Round   int    `json:"round"`
+			} `json:"route_trace"`
+		}
+		if err := json.Unmarshal(raw, &rep); err != nil {
+			t.Fatal(err)
+		}
+		starts := 0
+		for _, r := range rep.RouteTrace {
+			if r.Context != "evaluate" {
+				t.Errorf("evaluate=%v: report holds a routing round labelled %q", evaluate, r.Context)
+			}
+			if r.Round == 0 {
+				starts++
+			}
+		}
+		runs := 0
+		if evaluate {
+			runs = 1
+		}
+		if starts != runs {
+			t.Errorf("evaluate=%v: report holds %d traced routing runs, want %d", evaluate, starts, runs)
+		}
+	}
+}
+
+// TestProfileFlags requires -cpuprofile and -memprofile to write
+// non-empty profiles.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	aux, err := bookshelf.WriteDesign(gen.MustGenerate(gen.SmallSuite()[0]), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	err = runWithArgs("-aux", aux, "-no-routability", "-no-dp", "-evaluate=false", "-workers", "1",
+		"-out", dir, "-cpuprofile", cpu, "-memprofile", mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{cpu, mem} {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s: %v, want a non-empty file", p, err)
+		}
 	}
 }
 

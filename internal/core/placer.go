@@ -275,11 +275,7 @@ func (pl *Placer) finish(ctx context.Context, d *db.Design, routedGrid *route.Gr
 			} else {
 				// Routability-aware detailed placement: the final routed
 				// congestion map penalizes moves into overloaded tiles.
-				dpOpt.Congestion = routedGrid.TileCongestion()
-				dpOpt.CongNX = routedGrid.NX
-				dpOpt.CongOrigin = routedGrid.Origin
-				dpOpt.CongTileW = routedGrid.TileW
-				dpOpt.CongTileH = routedGrid.TileH
+				dpOpt.Routed = &route.CongestionMap{Tiles: routedGrid.Tiles, Cong: routedGrid.TileCongestion()}
 			}
 		}
 		res.DP = dp.Optimize(d, dpOpt)
@@ -336,21 +332,22 @@ func (pl *Placer) routabilityLoop(ctx context.Context, d *db.Design, prob *clust
 	bestX := append([]float64(nil), prob.X...)
 	bestY := append([]float64(nil), prob.Y...)
 	bestScore := math.Inf(1)
-	scoreNow := func() float64 {
-		rc := route.RC(grid.ACEProfile())
-		return route.ScaledHPWL(d.HPWL(), rc)
+	score := func(ace []float64) float64 {
+		return route.ScaledHPWL(d.HPWL(), route.RC(ace))
 	}
 	for iter := startIter; iter < cfg.RoutabilityIters; iter++ {
 		estimated := est != nil && iter < switchover
 		iterSp := loopSp.StartSpanf("iter-%d", iter)
-		var tileCong []float64
-		var stat CongStat
+		// Either signal maps onto the grid's tiles (the estimator is built
+		// over them), so the round reads its map through grid's geometry.
+		cong := route.CongestionMap{Tiles: grid.Tiles}
+		var ace []float64
 		if estimated {
 			// Estimate round: the congestion signal is the RUDY +
 			// pin-density map over the current positions — no routing.
 			est.Recompute(d)
-			tileCong = est.TileCongestion()
-			stat = CongStat{ACE: est.ACEProfile(), Estimated: true}
+			cong.Cong = est.TileCongestion()
+			ace = est.ACEProfile()
 			if iterSp != nil {
 				iterSp.Add("estimated", 1)
 			}
@@ -358,7 +355,7 @@ func (pl *Placer) routabilityLoop(ctx context.Context, d *db.Design, prob *clust
 				loopSp.Add("estimate_rounds", 1)
 			}
 			if rec.HeatmapsEnabled() {
-				rec.RecordHeatmap(fmt.Sprintf("estimate-%d", iter), est.NX, est.NY, tileCong)
+				rec.RecordHeatmap(fmt.Sprintf("estimate-%d", iter), grid.NX, grid.NY, cong.Cong)
 			}
 		} else {
 			if rec.Enabled() {
@@ -373,27 +370,24 @@ func (pl *Placer) routabilityLoop(ctx context.Context, d *db.Design, prob *clust
 				loopSp.End()
 				return canceled("routability", err)
 			}
+			cong.Cong = grid.TileCongestion()
+			ace = grid.ACEProfile()
 			if rec.HeatmapsEnabled() {
-				rec.RecordHeatmap(fmt.Sprintf("routability-%d", iter), grid.NX, grid.NY, grid.TileCongestion())
+				rec.RecordHeatmap(fmt.Sprintf("routability-%d", iter), grid.NX, grid.NY, cong.Cong)
 			}
-			if sc := scoreNow(); sc < bestScore {
+			if sc := score(ace); sc < bestScore {
 				bestScore = sc
 				copy(bestX, prob.X)
 				copy(bestY, prob.Y)
 			}
-			tileCong = grid.TileCongestion()
-			stat = CongStat{ACE: grid.ACEProfile()}
 		}
-		for _, c := range tileCong {
-			if c > stat.MaxTileCongestion {
-				stat.MaxTileCongestion = c
-			}
-		}
+		stat := congStat(ace, cong.Cong)
+		stat.Estimated = estimated
 		// Inflation is relative: only tiles that are congested both in
 		// absolute terms and versus the design's 75th percentile inflate,
 		// so a uniformly overloaded design still gets *targeted* relief
 		// of its worst spots instead of a blanket (and useless) blow-up.
-		ref := math.Max(congestionThreshold, quantile(tileCong, 0.75))
+		ref := math.Max(congestionThreshold, quantile(cong.Cong, 0.75))
 		inflated := 0
 		for _, ci := range pm.objToCell {
 			c := &d.Cells[ci]
@@ -403,12 +397,11 @@ func (pl *Placer) routabilityLoop(ctx context.Context, d *db.Design, prob *clust
 				// the whole region.
 				continue
 			}
-			tx, ty := grid.TileOf(c.Center())
-			cong := tileCong[ty*grid.NX+tx]
-			if cong <= ref {
+			tc := cong.At(c.Center())
+			if tc <= ref {
 				continue
 			}
-			ratio := math.Min(cfg.InflateMax, math.Pow(cong/ref, inflateExp))
+			ratio := math.Min(cfg.InflateMax, math.Pow(tc/ref, inflateExp))
 			// Grow gently: at most +25% density footprint per iteration,
 			// so one noisy estimate cannot blow a region up.
 			ratio = math.Min(ratio, c.Inflate*1.25)
@@ -453,7 +446,7 @@ func (pl *Placer) routabilityLoop(ctx context.Context, d *db.Design, prob *clust
 			iterSp.End()
 			break
 		}
-		weightNetsByCongestion(prob, grid, tileCong, ref, origW)
+		weightNetsByCongestion(prob, &cong, ref, origW)
 		// Respread with the inflated areas: a short run that resumes the
 		// λ escalation near where the main GP ended, so the established
 		// spreading is preserved and only the inflated regions move.
@@ -498,7 +491,8 @@ func (pl *Placer) routabilityLoop(ctx context.Context, d *db.Design, prob *clust
 		loopSp.End()
 		return canceled("routability", err)
 	}
-	if scoreNow() > bestScore {
+	ace := grid.ACEProfile()
+	if score(ace) > bestScore {
 		copy(prob.X, bestX)
 		copy(prob.Y, bestY)
 		writeBack(d, prob, pm)
@@ -506,19 +500,27 @@ func (pl *Placer) routabilityLoop(ctx context.Context, d *db.Design, prob *clust
 			loopSp.End()
 			return canceled("routability", err)
 		}
+		ace = grid.ACEProfile()
 	}
-	final := CongStat{ACE: grid.ACEProfile()}
-	for _, c := range grid.TileCongestion() {
-		if c > final.MaxTileCongestion {
-			final.MaxTileCongestion = c
-		}
-	}
-	res.Cong = append(res.Cong, final)
+	tileCong := grid.TileCongestion()
+	res.Cong = append(res.Cong, congStat(ace, tileCong))
 	if rec.HeatmapsEnabled() {
-		rec.RecordHeatmap("final", grid.NX, grid.NY, grid.TileCongestion())
+		rec.RecordHeatmap("final", grid.NX, grid.NY, tileCong)
 	}
 	loopSp.End()
 	return nil
+}
+
+// congStat is one congestion record: the map's ACE profile and its worst
+// tile.
+func congStat(ace, tileCong []float64) CongStat {
+	st := CongStat{ACE: ace}
+	for _, c := range tileCong {
+		if c > st.MaxTileCongestion {
+			st.MaxTileCongestion = c
+		}
+	}
+	return st
 }
 
 // weightNetsByCongestion scales each GP net's weight by how congested the
@@ -526,7 +528,7 @@ func (pl *Placer) routabilityLoop(ctx context.Context, d *db.Design, prob *clust
 // so the respread's wirelength model preferentially shortens nets that
 // run through hot regions — reducing their routing demand directly.
 // origW holds the pre-loop weights so multipliers never compound.
-func weightNetsByCongestion(prob *cluster.Problem, grid *route.Grid, tileCong []float64, ref float64, origW []float64) {
+func weightNetsByCongestion(prob *cluster.Problem, cong *route.CongestionMap, ref float64, origW []float64) {
 	for ni := range prob.Nets {
 		net := &prob.Nets[ni]
 		if len(net.Pins) < 2 {
@@ -548,18 +550,17 @@ func weightNetsByCongestion(prob *cluster.Problem, grid *route.Grid, tileCong []
 			maxY = math.Max(maxY, py)
 		}
 		// Sample congestion at the box center and corners.
-		var cong float64
+		var c float64
 		for _, pt := range [...][2]float64{
 			{(minX + maxX) / 2, (minY + maxY) / 2},
 			{minX, minY}, {maxX, maxY}, {minX, maxY}, {maxX, minY},
 		} {
-			tx, ty := grid.TileOf(geom.Point{X: pt[0], Y: pt[1]})
-			cong += tileCong[ty*grid.NX+tx]
+			c += cong.At(geom.Point{X: pt[0], Y: pt[1]})
 		}
-		cong /= 5
+		c /= 5
 		mult := 1.0
-		if ref > 0 && cong > ref {
-			mult = math.Min(3, cong/ref)
+		if ref > 0 && c > ref {
+			mult = math.Min(3, c/ref)
 		}
 		net.Weight = origW[ni] * mult
 	}

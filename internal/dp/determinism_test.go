@@ -9,6 +9,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/geom"
 	"repro/internal/legal"
+	"repro/internal/route"
 )
 
 // scatteredDesign regenerates the same design and deterministic scatter
@@ -45,20 +46,20 @@ func scattered(cfg gen.Config) *db.Design {
 // positioned over the die.
 func congestionFor(d *db.Design, opt *Options) {
 	const n = 8
-	opt.Congestion = make([]float64, n*n)
+	m := &route.CongestionMap{
+		Tiles: route.Tiles{NX: n, NY: n, Origin: d.Die.Lo, TileW: d.Die.W() / n, TileH: d.Die.H() / n},
+		Cong:  make([]float64, n*n),
+	}
 	for ty := 0; ty < n; ty++ {
 		for tx := 0; tx < n; tx++ {
 			u := 0.4
 			if tx >= 3 && tx <= 4 {
 				u = 1.6
 			}
-			opt.Congestion[ty*n+tx] = u
+			m.Cong[ty*n+tx] = u
 		}
 	}
-	opt.CongNX = n
-	opt.CongOrigin = d.Die.Lo
-	opt.CongTileW = d.Die.W() / n
-	opt.CongTileH = d.Die.H() / n
+	opt.Routed = m
 }
 
 // placement runs legalization and detailed placement at the given worker

@@ -31,6 +31,7 @@ import (
 	"repro/internal/incr"
 	"repro/internal/obs"
 	"repro/internal/par"
+	"repro/internal/route"
 )
 
 // eps is the strict-improvement threshold shared by every move kind: a
@@ -54,26 +55,22 @@ type Options struct {
 	// is byte-identical for every worker count.
 	Workers int
 
-	// Congestion, when non-nil, makes detailed placement routability-
-	// aware: moves into tiles whose utilization exceeds 1 pay a penalty
+	// Routed, when non-nil, makes detailed placement routability-aware:
+	// moves into tiles whose routed utilization exceeds 1 pay a penalty
 	// proportional to the overload, so HPWL-greedy moves stop piling
-	// cells into routed hot spots. The map is indexed [ty*CongNX+tx].
-	Congestion []float64
-	CongNX     int
-	// CongTile locates the congestion grid over the die.
-	CongOrigin  geom.Point
-	CongTileW   float64
-	CongTileH   float64
+	// cells into routed hot spots. The map is a snapshot over its own
+	// tile geometry.
+	Routed      *route.CongestionMap
 	CongPenalty float64 // cost per unit overload per unit cell area (default 0.5)
 
 	// Estimate, when non-nil, supplies a *live* probabilistic congestion
 	// map (internal/estimate) as the routability guard instead of the
-	// static Congestion snapshot. The optimizer attaches it to its
+	// static Routed snapshot. The optimizer attaches it to its
 	// incremental engine, so every committed move updates the map in
 	// O(pins-on-cell) and later moves see the relief (or new pressure)
-	// earlier moves created. Takes precedence over Congestion. The
-	// propose phase reads the frozen map and commits apply serially in
-	// fixed order, so output stays byte-identical for any worker count.
+	// earlier moves created. Takes precedence over Routed. The propose
+	// phase reads the frozen map and commits apply serially in fixed
+	// order, so output stays byte-identical for any worker count.
 	Estimate *estimate.Estimator
 
 	// Obs, when non-nil, records a "dp" span with per-pass move counters
@@ -145,6 +142,9 @@ type optimizer struct {
 	opt       Options
 	workers   int
 	obstacles []geom.Rect
+	// congTiles is the geometry of the congestion guard's map (the
+	// estimator's, else the routed snapshot's); nil without a guard.
+	congTiles *route.Tiles
 
 	cache   *incr.BBoxCache
 	anchors *incr.Anchors
@@ -231,6 +231,9 @@ func newOptimizer(d *db.Design, opt Options) *optimizer {
 		// hooks, so Move/Revert/Commit keep its demand map exact without
 		// any polling in the move loops.
 		estimate.Attach(opt.Estimate, o.cache)
+		o.congTiles = &opt.Estimate.Tiles
+	} else if opt.Routed != nil {
+		o.congTiles = &opt.Routed.Tiles
 	}
 	return o
 }
@@ -294,36 +297,35 @@ func (o *optimizer) gapBounds(left, right, y, h, x float64) (float64, float64) {
 // overload beyond 100% utilization costs CongPenalty per unit of cell
 // width (the width proxy keeps the penalty commensurate with HPWL units).
 // With a live estimator the overload is read from the continuously
-// maintained probabilistic map; otherwise from the static snapshot.
+// maintained probabilistic map; otherwise from the routed snapshot.
+// Either way the tile is the centre's offset over the tile size truncated
+// toward zero, and a tile outside the grid costs nothing.
 func (o *optimizer) congCostAt(ci int, pos geom.Point) float64 {
-	opt := &o.opt
+	t := o.congTiles
+	if t == nil {
+		return 0
+	}
+	tx := int((pos.X + o.cellW[ci]/2 - t.Origin.X) / t.TileW)
+	ty := int((pos.Y + o.cellH[ci]/2 - t.Origin.Y) / t.TileH)
+	if tx < 0 || ty < 0 || tx >= t.NX || ty >= t.NY {
+		return 0
+	}
 	var over float64
-	if e := opt.Estimate; e != nil {
-		tx := int((pos.X + o.cellW[ci]/2 - e.Origin.X) / e.TileW)
-		ty := int((pos.Y + o.cellH[ci]/2 - e.Origin.Y) / e.TileH)
+	if e := o.opt.Estimate; e != nil {
 		over = e.CongestionAt(tx, ty) - 1
 	} else {
-		if opt.Congestion == nil || opt.CongNX <= 0 || opt.CongTileW <= 0 || opt.CongTileH <= 0 {
-			return 0
-		}
-		tx := int((pos.X + o.cellW[ci]/2 - opt.CongOrigin.X) / opt.CongTileW)
-		ty := int((pos.Y + o.cellH[ci]/2 - opt.CongOrigin.Y) / opt.CongTileH)
-		ny := len(opt.Congestion) / opt.CongNX
-		if tx < 0 || ty < 0 || tx >= opt.CongNX || ty >= ny {
-			return 0
-		}
-		over = opt.Congestion[ty*opt.CongNX+tx] - 1
+		over = o.opt.Routed.Cong[ty*t.NX+tx] - 1
 	}
 	if over <= 0 {
 		return 0
 	}
-	return opt.CongPenalty * over * o.cellW[ci] * 10
+	return o.opt.CongPenalty * over * o.cellW[ci] * 10
 }
 
 // congDelta is the change in congestion penalty of moving cell ci from
 // its current position to pos.
 func (o *optimizer) congDelta(ci int, pos geom.Point) float64 {
-	if o.opt.Congestion == nil && o.opt.Estimate == nil {
+	if o.congTiles == nil {
 		return 0
 	}
 	return o.congCostAt(ci, pos) - o.congCostAt(ci, o.d.Cells[ci].Pos)

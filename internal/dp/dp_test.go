@@ -7,6 +7,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/geom"
 	"repro/internal/legal"
+	"repro/internal/route"
 )
 
 func TestPermutations(t *testing.T) {
@@ -181,10 +182,7 @@ func TestCongestionPenaltyDetersHotMoves(t *testing.T) {
 	dCong := build()
 	Optimize(dCong, Options{
 		Passes:      1,
-		Congestion:  hot,
-		CongNX:      10,
-		CongTileW:   10,
-		CongTileH:   10,
+		Routed:      &route.CongestionMap{Tiles: route.Tiles{NX: 10, NY: 1, TileW: 10, TileH: 10}, Cong: hot},
 		CongPenalty: 10,
 	})
 	xFree := dFree.Cells[1].Pos.X

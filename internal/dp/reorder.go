@@ -213,7 +213,7 @@ func sameCells(win, order []int) bool {
 func (o *optimizer) rowShift() int {
 	o.buildRows()
 	o.buildAnchors()
-	hasCong := o.opt.Congestion != nil
+	hasCong := o.opt.Routed != nil
 	props := make([][]shiftProposal, len(o.rowList))
 	o.forItems(len(o.rowList), func(ws *workerState, ri int) {
 		row := o.rowList[ri]

@@ -151,7 +151,7 @@ func (o *optimizer) globalSwap() int {
 		o.swapProps = make([]swapProposal, len(o.cells))
 	}
 	props := o.swapProps[:len(o.cells)]
-	hasCong := o.opt.Congestion != nil
+	hasCong := o.opt.Routed != nil
 	o.forItems(len(o.cells), func(ws *workerState, i int) {
 		props[i] = swapProposal{partner: -1}
 		ci := o.cells[i]

@@ -23,9 +23,7 @@
 package estimate
 
 import (
-	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/db"
 	"repro/internal/geom"
@@ -61,15 +59,13 @@ type Options struct {
 }
 
 // Estimator holds a probabilistic per-tile congestion map over a routing
-// grid's geometry. Capacities are copied from the grid (blockage derating
+// grid's tiles. Capacities are copied from the grid (blockage derating
 // included) at construction; demand is owned by the estimator and filled
 // by Recompute or maintained by an attached Incremental.
 type Estimator struct {
-	// NX, NY, Origin, TileW, TileH mirror the route.Grid geometry the
-	// estimator was built over.
-	NX, NY       int
-	Origin       geom.Point
-	TileW, TileH float64
+	// Tiles is the geometry of the route.Grid the estimator was built
+	// over.
+	route.Tiles
 
 	workers int
 
@@ -90,12 +86,7 @@ type Estimator struct {
 // New builds an estimator over the grid's geometry and capacities. The
 // grid is only read during construction; routing demand on it is ignored.
 func New(g *route.Grid, opt Options) *Estimator {
-	e := &Estimator{
-		NX: g.NX, NY: g.NY,
-		Origin: g.Origin,
-		TileW:  g.TileW, TileH: g.TileH,
-		workers: par.Workers(opt.Workers),
-	}
+	e := &Estimator{Tiles: g.Tiles, workers: par.Workers(opt.Workers)}
 	n := e.NX * e.NY
 	e.hCap = make([]float64, n)
 	e.vCap = make([]float64, n)
@@ -134,38 +125,15 @@ func New(g *route.Grid, opt Options) *Estimator {
 	return e
 }
 
-// Tiles returns the tile count NX·NY.
-func (e *Estimator) Tiles() int { return e.NX * e.NY }
-
 // Reset zeroes the demand accumulators.
 func (e *Estimator) Reset() {
 	clear(e.hDem)
 	clear(e.vDem)
 }
 
-// tileOf maps a point to its clamped tile coordinates, with the same
-// floor-and-clamp convention as route.Grid.TileOf.
-func (e *Estimator) tileOf(p geom.Point) (int, int) {
-	tx := int(math.Floor((p.X - e.Origin.X) / e.TileW))
-	ty := int(math.Floor((p.Y - e.Origin.Y) / e.TileH))
-	if tx < 0 {
-		tx = 0
-	}
-	if tx >= e.NX {
-		tx = e.NX - 1
-	}
-	if ty < 0 {
-		ty = 0
-	}
-	if ty >= e.NY {
-		ty = e.NY - 1
-	}
-	return tx, ty
-}
-
-// tileIdx is tileOf flattened to the demand index.
+// tileIdx is TileOf flattened to the demand index.
 func (e *Estimator) tileIdx(p geom.Point) int32 {
-	tx, ty := e.tileOf(p)
+	tx, ty := e.TileOf(p)
 	return int32(ty*e.NX + tx)
 }
 
@@ -192,8 +160,8 @@ func (e *Estimator) netDemand(bb geom.Rect, w float64, emit func(idx int, h, v i
 	}
 	hTracks := w / math.Max(1, bb.H()/e.TileH)
 	vTracks := w / math.Max(1, bb.W()/e.TileW)
-	tx0, ty0 := e.tileOf(bb.Lo)
-	tx1, ty1 := e.tileOf(geom.Point{X: bb.Hi.X - 1e-9, Y: bb.Hi.Y - 1e-9})
+	tx0, ty0 := e.TileOf(bb.Lo)
+	tx1, ty1 := e.TileOf(geom.Point{X: bb.Hi.X - 1e-9, Y: bb.Hi.Y - 1e-9})
 	for ty := ty0; ty <= ty1; ty++ {
 		rowLo := e.Origin.Y + float64(ty)*e.TileH
 		fy := (math.Min(rowLo+e.TileH, bb.Hi.Y) - math.Max(rowLo, bb.Lo.Y)) / e.TileH
@@ -326,22 +294,6 @@ func (e *Estimator) CongestionAt(tx, ty int) float64 {
 	return 0
 }
 
-// MaxTileCongestion returns the worst finite-or-not tile congestion.
-func (e *Estimator) MaxTileCongestion() float64 {
-	var m float64
-	for i := range e.capTot {
-		dem := float64(e.hDem[i]+e.vDem[i]) / fpScale
-		if e.capTot[i] > 0 {
-			if r := dem / e.capTot[i]; r > m {
-				m = r
-			}
-		} else if dem > 0 {
-			return math.Inf(1)
-		}
-	}
-	return m
-}
-
 // ACEProfile returns the estimated Average Congestion of the top-x% most
 // loaded tile directions at route.ACEPercentiles — the estimator's stand-in
 // for route.Grid.ACEProfile, computed over per-tile directional ratios
@@ -356,37 +308,11 @@ func (e *Estimator) ACEProfile() []float64 {
 			ratios = append(ratios, float64(e.vDem[i])/fpScale/e.vCap[i])
 		}
 	}
-	out := make([]float64, len(route.ACEPercentiles))
-	if len(ratios) == 0 {
-		return out
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(ratios)))
-	for i, pct := range route.ACEPercentiles {
-		k := int(float64(len(ratios)) * pct / 100)
-		if k < 1 {
-			k = 1
-		}
-		var s float64
-		for _, r := range ratios[:k] {
-			s += r
-		}
-		out[i] = s / float64(k)
-	}
-	return out
+	return route.ACE(ratios)
 }
 
 // SnapshotDemand returns copies of the fixed-point demand accumulators,
 // for differential and determinism tests that compare grids bitwise.
 func (e *Estimator) SnapshotDemand() (h, v []int64) {
 	return append([]int64(nil), e.hDem...), append([]int64(nil), e.vDem...)
-}
-
-// CheckGeometry validates that the estimator was built over a grid
-// matching (nx, ny) — a guard for callers that persist estimators across
-// grid rebuilds.
-func (e *Estimator) CheckGeometry(nx, ny int) error {
-	if nx != e.NX || ny != e.NY {
-		return fmt.Errorf("estimate: grid %dx%d does not match estimator %dx%d", nx, ny, e.NX, e.NY)
-	}
-	return nil
 }

@@ -3,6 +3,7 @@ package estimate
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/db"
@@ -199,14 +200,8 @@ func TestIncrementalMoveNoAllocs(t *testing.T) {
 func TestEstimateMatchesGridGeometry(t *testing.T) {
 	d, g := testDesign(t, 300, 9)
 	e := New(g, Options{})
-	if e.NX != g.NX || e.NY != g.NY {
-		t.Fatalf("geometry mismatch: est %dx%d grid %dx%d", e.NX, e.NY, g.NX, g.NY)
-	}
-	if err := e.CheckGeometry(g.NX, g.NY); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.CheckGeometry(g.NX+1, g.NY); err == nil {
-		t.Fatal("CheckGeometry accepted a mismatched grid")
+	if e.Tiles != g.Tiles {
+		t.Fatalf("geometry mismatch: est %+v grid %+v", e.Tiles, g.Tiles)
 	}
 	var capSum float64
 	for _, c := range e.capTot {
@@ -216,12 +211,12 @@ func TestEstimateMatchesGridGeometry(t *testing.T) {
 		t.Fatal("no tile capacity derived from grid")
 	}
 	e.Recompute(d)
-	if e.MaxTileCongestion() <= 0 {
-		t.Fatal("recompute produced zero congestion everywhere")
-	}
 	cong := e.TileCongestion()
-	if len(cong) != e.Tiles() {
-		t.Fatalf("congestion length %d, want %d", len(cong), e.Tiles())
+	if len(cong) != e.NX*e.NY {
+		t.Fatalf("congestion length %d, want %d", len(cong), e.NX*e.NY)
+	}
+	if slices.Max(cong) <= 0 {
+		t.Fatal("recompute produced zero congestion everywhere")
 	}
 	var into []float64
 	into = e.CongestionInto(into)
@@ -387,5 +382,31 @@ func TestNetDemandWeightScalesAndStaysLocal(t *testing.T) {
 	}
 	if far := 0*e.NX + 4; h1[far] != 0 || v1[far] != 0 || h3[far] != 0 || v3[far] != 0 {
 		t.Errorf("demand far from the net: weight 1 (h %d, v %d), weight 3 (h %d, v %d)", h1[far], v1[far], h3[far], v3[far])
+	}
+}
+
+// TestACEProfileHandSet pins the estimator's ACE statistic on hand-set
+// demands: the mean of the top x% of the per-tile directional ratios, at
+// least one, with directions of zero capacity left out of both the
+// ranking and the count.
+func TestACEProfileHandSet(t *testing.T) {
+	g := route.NewUniformGrid(geom.NewRect(0, 0, 100, 100), 10, 10, 10, 10)
+	e := New(g, Options{})
+	e.hDem[0] = fp(30)
+	e.vDem[5] = fp(20)
+	e.hDem[17] = fp(15)
+	e.vDem[99] = fp(10)
+	for i := 40; i < 45; i++ {
+		e.hDem[i] = fp(5)
+	}
+	// A direction with demand but no capacity is not ranked, so 199
+	// ratios count.
+	e.vCap[60] = 0
+	e.vDem[60] = fp(100)
+	// k = max(1, ⌊199·x/100⌋) = 1, 1, 3, 9 over ratios 3, 2, 1.5, 1,
+	// 0.5×5, then zeros.
+	want := []float64{3, 3, 6.5 / 3, 10.0 / 9}
+	if got := e.ACEProfile(); !slices.Equal(got, want) {
+		t.Errorf("ACEProfile = %v, want %v", got, want)
 	}
 }

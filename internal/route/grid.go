@@ -19,13 +19,61 @@ import (
 	"repro/internal/geom"
 )
 
-// Grid is the g-cell routing grid. Tiles are indexed (tx, ty) with tile
-// (0,0) at the die's lower-left. A horizontal edge h(x,y) joins tiles
-// (x,y)–(x+1,y); a vertical edge v(x,y) joins (x,y)–(x,y+1).
-type Grid struct {
+// Tiles is the g-cell geometry: NX×NY tiles of TileW×TileH from Origin,
+// indexed (tx, ty) with tile (0,0) at the lower-left. Every per-tile map
+// over it is indexed ty·NX+tx. The routing grid and the congestion
+// estimator embed it, so both signals fill the same tiles.
+type Tiles struct {
 	NX, NY       int
 	Origin       geom.Point
 	TileW, TileH float64
+}
+
+// TileOf returns the tile containing point p, clamped to the grid.
+func (t *Tiles) TileOf(p geom.Point) (int, int) {
+	tx := int(math.Floor((p.X - t.Origin.X) / t.TileW))
+	ty := int(math.Floor((p.Y - t.Origin.Y) / t.TileH))
+	if tx < 0 {
+		tx = 0
+	}
+	if tx >= t.NX {
+		tx = t.NX - 1
+	}
+	if ty < 0 {
+		ty = 0
+	}
+	if ty >= t.NY {
+		ty = t.NY - 1
+	}
+	return tx, ty
+}
+
+// TileRect returns tile (tx, ty)'s rectangle.
+func (t *Tiles) TileRect(tx, ty int) geom.Rect {
+	x := t.Origin.X + float64(tx)*t.TileW
+	y := t.Origin.Y + float64(ty)*t.TileH
+	return geom.NewRect(x, y, x+t.TileW, y+t.TileH)
+}
+
+// CongestionMap is one per-tile congestion map together with the tiles
+// it was taken over; Cong is indexed ty·NX+tx.
+type CongestionMap struct {
+	Tiles
+	Cong []float64
+}
+
+// At returns the congestion of the tile containing p, clamped to the
+// grid.
+func (m *CongestionMap) At(p geom.Point) float64 {
+	tx, ty := m.TileOf(p)
+	return m.Cong[ty*m.NX+tx]
+}
+
+// Grid is the g-cell routing grid over its Tiles. A horizontal edge
+// h(x,y) joins tiles (x,y)–(x+1,y); a vertical edge v(x,y) joins
+// (x,y)–(x,y+1).
+type Grid struct {
+	Tiles
 
 	// HCap has (NX−1)·NY entries indexed y·(NX−1)+x.
 	HCap []float64
@@ -41,12 +89,12 @@ type Grid struct {
 
 // NewUniformGrid builds a grid over die with uniform per-edge capacities.
 func NewUniformGrid(die geom.Rect, nx, ny int, hcap, vcap float64) *Grid {
-	g := &Grid{
+	g := &Grid{Tiles: Tiles{
 		NX: nx, NY: ny,
 		Origin: die.Lo,
 		TileW:  die.W() / float64(nx),
 		TileH:  die.H() / float64(ny),
-	}
+	}}
 	g.alloc()
 	for i := range g.HCap {
 		g.HCap[i] = hcap
@@ -68,12 +116,12 @@ func NewGrid(d *db.Design) (*Grid, error) {
 	if ri.GridX < 2 || ri.GridY < 2 {
 		return nil, fmt.Errorf("route: grid %dx%d too small", ri.GridX, ri.GridY)
 	}
-	g := &Grid{
+	g := &Grid{Tiles: Tiles{
 		NX: ri.GridX, NY: ri.GridY,
 		Origin: ri.Origin,
 		TileW:  ri.TileW,
 		TileH:  ri.TileH,
-	}
+	}}
 	if g.TileW <= 0 || g.TileH <= 0 {
 		g.TileW = d.Die.W() / float64(g.NX)
 		g.TileH = d.Die.H() / float64(g.NY)
@@ -170,32 +218,6 @@ func (g *Grid) applyBlockage(r geom.Rect, hBlocked, vBlocked, porosity float64) 
 			g.VCap[i] = math.Max(0, g.VCap[i]-vBlocked*f*loss)
 		}
 	}
-}
-
-// TileOf returns the tile containing point p, clamped to the grid.
-func (g *Grid) TileOf(p geom.Point) (int, int) {
-	tx := int(math.Floor((p.X - g.Origin.X) / g.TileW))
-	ty := int(math.Floor((p.Y - g.Origin.Y) / g.TileH))
-	if tx < 0 {
-		tx = 0
-	}
-	if tx >= g.NX {
-		tx = g.NX - 1
-	}
-	if ty < 0 {
-		ty = 0
-	}
-	if ty >= g.NY {
-		ty = g.NY - 1
-	}
-	return tx, ty
-}
-
-// TileRect returns tile (tx, ty)'s rectangle.
-func (g *Grid) TileRect(tx, ty int) geom.Rect {
-	x := g.Origin.X + float64(tx)*g.TileW
-	y := g.Origin.Y + float64(ty)*g.TileH
-	return geom.NewRect(x, y, x+g.TileW, y+g.TileH)
 }
 
 // HIdx returns the horizontal edge index for the edge (x,y)–(x+1,y).

@@ -13,32 +13,33 @@ import (
 // each x in this list and the RC index averages them.
 var ACEPercentiles = []float64{0.5, 1, 2, 5}
 
-// ACE returns the average congestion ratio (demand/capacity) of the top
-// pct% most congested edges, over all edges with positive capacity. The
-// result is a ratio (1.0 = exactly full).
-func (g *Grid) ACE(pct float64) float64 {
-	ratios := g.congestionRatios()
-	if len(ratios) == 0 {
-		return 0
+// ACEProfile returns the ACE value at each of the contest percentiles,
+// over the demand/capacity ratio of every edge with positive capacity.
+func (g *Grid) ACEProfile() []float64 {
+	ratios := make([]float64, 0, len(g.HDem)+len(g.VDem))
+	for i := range g.HDem {
+		if g.HCap[i] > 0 {
+			ratios = append(ratios, g.HDem[i]/g.HCap[i])
+		}
 	}
-	k := int(float64(len(ratios)) * pct / 100)
-	if k < 1 {
-		k = 1
+	for i := range g.VDem {
+		if g.VCap[i] > 0 {
+			ratios = append(ratios, g.VDem[i]/g.VCap[i])
+		}
 	}
-	var s float64
-	for _, r := range ratios[:k] {
-		s += r
-	}
-	return s / float64(k)
+	return ACE(ratios)
 }
 
-// ACEProfile returns the ACE value at each of the contest percentiles.
-func (g *Grid) ACEProfile() []float64 {
-	ratios := g.congestionRatios()
+// ACE turns demand/capacity ratios into the profile at ACEPercentiles:
+// entry i is the mean of the top ACEPercentiles[i]% of the ratios (at
+// least one), a ratio of 1.0 being exactly full. It sorts ratios in
+// place, descending; no ratios give a profile of zeros.
+func ACE(ratios []float64) []float64 {
 	out := make([]float64, len(ACEPercentiles))
 	if len(ratios) == 0 {
 		return out
 	}
+	sort.Sort(sort.Reverse(sort.Float64Slice(ratios)))
 	for i, pct := range ACEPercentiles {
 		k := int(float64(len(ratios)) * pct / 100)
 		if k < 1 {
@@ -51,24 +52,6 @@ func (g *Grid) ACEProfile() []float64 {
 		out[i] = s / float64(k)
 	}
 	return out
-}
-
-// congestionRatios returns demand/capacity for all capacitated edges,
-// sorted descending.
-func (g *Grid) congestionRatios() []float64 {
-	ratios := make([]float64, 0, len(g.HDem)+len(g.VDem))
-	for i := range g.HDem {
-		if g.HCap[i] > 0 {
-			ratios = append(ratios, g.HDem[i]/g.HCap[i])
-		}
-	}
-	for i := range g.VDem {
-		if g.VCap[i] > 0 {
-			ratios = append(ratios, g.VDem[i]/g.VCap[i])
-		}
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(ratios)))
-	return ratios
 }
 
 // RC converts an ACE profile into the contest's Routing Congestion index:
@@ -123,6 +106,13 @@ func EvaluateDesignCtx(ctx context.Context, d *db.Design, opt RouterOptions) (Me
 	if err != nil {
 		return Metrics{}, err
 	}
+	return Evaluate(ctx, g, d, opt)
+}
+
+// Evaluate is EvaluateDesignCtx on a grid the caller built with NewGrid:
+// the routed demand stays on g, so a congestion plot can draw the map
+// the metrics were taken from without routing again.
+func Evaluate(ctx context.Context, g *Grid, d *db.Design, opt RouterOptions) (Metrics, error) {
 	r := NewRouter(g, opt)
 	res, err := r.RouteDesignCtx(ctx, d)
 	if err != nil {

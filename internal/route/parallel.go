@@ -12,12 +12,7 @@ package route
 // scheduling decides only who computes each (pure) search, never what is
 // searched or in which order effects land.
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"repro/internal/par"
-)
+import "repro/internal/par"
 
 // coarseDim is the side of the occupancy bitmap used for window-overlap
 // tests during batch partitioning: the grid is collapsed onto a
@@ -134,42 +129,21 @@ func (r *Router) state(k int) *searchState {
 }
 
 // routeBatch reroutes every segment in idxs against the frozen grid and
-// cost snapshot. With more than one worker the segments are pulled off a
-// shared atomic cursor; every search is a pure function of the frozen
-// state, so the work assignment cannot influence any path.
+// cost snapshot, the segments pulled off par.ForWorker's shared cursor.
+// Every search is a pure function of the frozen state, so the work
+// assignment cannot influence any path.
 func (r *Router) routeBatch(idxs []int) {
-	w := r.workers
-	if w > len(idxs) {
-		w = len(idxs)
-	}
-	if w <= 1 {
-		ss := r.state(0)
-		for _, si := range idxs {
-			s := &r.segs[si]
-			s.path = r.rerouteSegment(ss, s)
-		}
-		return
-	}
 	// Grow the state pool before the workers start: they only index it.
-	r.state(w - 1)
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			ss := r.states[k]
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(idxs) {
-					return
-				}
-				s := &r.segs[idxs[i]]
-				s.path = r.rerouteSegment(ss, s)
-			}
-		}(k)
-	}
-	wg.Wait()
+	r.state(max(1, min(r.workers, len(idxs))) - 1)
+	r.batch = idxs
+	par.ForWorker(len(idxs), r.workers, r.rerouteTasks)
+	r.batch = nil
+}
+
+// rerouteTask reroutes segment r.batch[i] on worker k's search state.
+func (r *Router) rerouteTask(k, i int) {
+	s := &r.segs[r.batch[i]]
+	s.path = r.rerouteSegment(r.states[k], s)
 }
 
 // rrrRound runs one negotiated rip-up-and-reroute round. It returns false

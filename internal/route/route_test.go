@@ -2,6 +2,7 @@ package route
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/db"
@@ -230,13 +231,11 @@ func TestACEAndRC(t *testing.T) {
 	g := uniform(11, 2, 10) // 10 H edges per row, 2 rows; 11 V edges
 	// Make exactly one edge 200% congested, everything else 0.
 	g.HDem[g.HIdx(0, 0)] = 20
-	nEdges := len(g.HCap) + len(g.VCap)
-	ace05 := g.ACE(0.5)
-	// Top 0.5% of 31 edges = 1 edge -> ratio 2.0.
-	if math.Abs(ace05-2.0) > 1e-9 {
-		t.Errorf("ACE(0.5) = %v, want 2 (edges=%d)", ace05, nEdges)
-	}
 	prof := g.ACEProfile()
+	// Top 0.5% of 31 edges = 1 edge -> ratio 2.0.
+	if math.Abs(prof[0]-2.0) > 1e-9 {
+		t.Errorf("ACE at 0.5%% = %v, want 2 (edges=%d)", prof[0], len(g.HCap)+len(g.VCap))
+	}
 	if prof[0] < prof[3] {
 		t.Error("ACE must be non-increasing in percentile")
 	}
@@ -248,6 +247,33 @@ func TestACEAndRC(t *testing.T) {
 	g2 := uniform(11, 2, 10)
 	if got := RC(g2.ACEProfile()); got != 100 {
 		t.Errorf("empty grid RC = %v, want 100", got)
+	}
+}
+
+// TestACEProfileHandSet pins the ACE statistic on hand-set demands: the
+// mean of the top x% of the edge ratios, at least one edge, with edges of
+// zero capacity left out of both the ranking and the count.
+func TestACEProfileHandSet(t *testing.T) {
+	g := uniform(10, 10, 10) // 90 H + 90 V edges
+	g.HDem[g.HIdx(0, 0)] = 30
+	g.HDem[g.HIdx(4, 7)] = 20
+	g.VDem[g.VIdx(2, 2)] = 15
+	g.VDem[g.VIdx(9, 8)] = 10
+	for x := 0; x < 5; x++ {
+		g.VDem[g.VIdx(x, 5)] = 5
+	}
+	// A blocked edge carries demand but no capacity: it is not ranked,
+	// so 179 edges count.
+	g.HCap[g.HIdx(8, 8)] = 0
+	g.HDem[g.HIdx(8, 8)] = 100
+	// k = max(1, ⌊179·x/100⌋) = 1, 1, 3, 8 over ratios 3, 2, 1.5, 1,
+	// 0.5×5, then zeros.
+	want := []float64{3, 3, 6.5 / 3, 9.5 / 8}
+	if got := g.ACEProfile(); !slices.Equal(got, want) {
+		t.Errorf("ACEProfile = %v, want %v", got, want)
+	}
+	if got := ACE(nil); !slices.Equal(got, []float64{0, 0, 0, 0}) {
+		t.Errorf("ACE of no ratios = %v, want zeros", got)
 	}
 }
 
@@ -362,3 +388,26 @@ func TestWarmRerouteNoAllocs(t *testing.T) {
 		t.Errorf("warm reroute with telemetry disabled allocates %.1f/op, want 0", allocs)
 	}
 }
+
+// patternRoute is patternRouteInto into a fresh path.
+func (r *Router) patternRoute(a, b tile) []tile {
+	return r.patternRouteInto(nil, a, b)
+}
+
+// mazeRoute runs a full-grid A* search under the current negotiated edge
+// costs (snapshotting them first) and returns a fresh path, falling back
+// to a pattern route if the search finds none.
+func (r *Router) mazeRoute(a, b tile) []tile {
+	r.snapshotCosts()
+	path := r.state(0).aStar(r, a, b, fullWindow(r.G), nil)
+	if path == nil {
+		return r.patternRoute(a, b)
+	}
+	return path
+}
+
+// fullWindow covers the whole grid.
+func fullWindow(g *Grid) window { return window{0, 0, g.NX - 1, g.NY - 1} }
+
+// sampleBetween is sampleInto into a fresh slice.
+func sampleBetween(a, b, n int) []int { return sampleInto(nil, a, b, n) }

@@ -85,9 +85,13 @@ type Router struct {
 	roundRerouted int
 	roundBatches  int
 
-	// Reusable scratch (see search.go and parallel.go).
+	// Reusable scratch (see search.go and parallel.go). batch is the
+	// reroute batch in flight; rerouteTasks is rerouteTask bound once, so
+	// handing it to par.ForWorker allocates nothing.
 	costs             costSnapshot
 	states            []*searchState
+	batch             []int
+	rerouteTasks      func(k, i int)
 	order             []int
 	overflowed        []int
 	batchSegs         [][]int
@@ -101,7 +105,9 @@ type Router struct {
 
 // NewRouter wraps a grid (whose demand it owns during routing).
 func NewRouter(g *Grid, opt RouterOptions) *Router {
-	return &Router{G: g, opt: opt.withDefaults(), workers: resolveWorkers(opt.Workers), obs: opt.Obs, obsLabel: opt.TraceLabel}
+	r := &Router{G: g, opt: opt.withDefaults(), workers: resolveWorkers(opt.Workers), obs: opt.Obs, obsLabel: opt.TraceLabel}
+	r.rerouteTasks = r.rerouteTask
+	return r
 }
 
 // SetTraceContext parents subsequent RouteDesign spans under sp (nil =
@@ -401,15 +407,9 @@ func hSpan(path []tile, x0, x1, y int) []tile {
 	return path
 }
 
-// patternRoute picks the cheapest of the L- and sampled Z-shaped routes
-// between a and b under current negotiated costs. Serial-only (shared
-// scratch); returns a freshly allocated path.
-func (r *Router) patternRoute(a, b tile) []tile {
-	return r.patternRouteInto(nil, a, b)
-}
-
-// patternRouteInto is patternRoute writing its winner into dst (reusing
-// dst's capacity). Candidate paths are built in two router-owned scratch
+// patternRouteInto writes into dst (reusing its capacity) the cheapest of
+// the L- and sampled Z-shaped routes between a and b under current
+// negotiated costs. Candidate paths are built in two router-owned scratch
 // buffers, so the pattern pass allocates nothing after warm-up. Not safe
 // for concurrent use.
 func (r *Router) patternRouteInto(dst []tile, a, b tile) []tile {
@@ -459,11 +459,8 @@ func (r *Router) patternRouteInto(dst []tile, a, b tile) []tile {
 	return append(dst[:0], best...)
 }
 
-// sampleBetween returns up to n+2 evenly spaced integers covering [a, b]
-// inclusive (order-normalized, endpoints always included).
-func sampleBetween(a, b, n int) []int { return sampleInto(nil, a, b, n) }
-
-// sampleInto is sampleBetween appending into out (reusing its capacity).
+// sampleInto appends to out up to n+2 evenly spaced integers covering
+// [a, b] inclusive (order-normalized, endpoints always included).
 func sampleInto(out []int, a, b, n int) []int {
 	if a > b {
 		a, b = b, a
@@ -521,19 +518,6 @@ func vSpanSimple(path []tile, y0, y1, x int) []tile {
 		if y == y1 {
 			break
 		}
-	}
-	return path
-}
-
-// mazeRoute runs a full-grid A* search under the current negotiated edge
-// costs (snapshotting them first). Serial-only; returns a fresh path.
-func (r *Router) mazeRoute(a, b tile) []tile {
-	r.snapshotCosts()
-	path := r.state(0).aStar(r, a, b, fullWindow(r.G), nil)
-	if path == nil {
-		// Unreachable should not happen on a connected grid; fall back to
-		// a pattern route.
-		return r.patternRoute(a, b)
 	}
 	return path
 }

@@ -11,9 +11,6 @@ package route
 // window is an inclusive tile rectangle bounding a maze search.
 type window struct{ x0, y0, x1, y1 int }
 
-// fullWindow covers the whole grid.
-func fullWindow(g *Grid) window { return window{0, 0, g.NX - 1, g.NY - 1} }
-
 func (w window) isFull(g *Grid) bool {
 	return w.x0 == 0 && w.y0 == 0 && w.x1 == g.NX-1 && w.y1 == g.NY-1
 }
